@@ -49,9 +49,11 @@ int main() {
   const SuperTree tree(BuildVertexScalarTree(astro.graph, outlier));
   const TerrainLayout layout = BuildTerrainLayout(tree);
   const HeightField field = RasterizeTerrain(layout);
-  (void)WritePpm(RenderOblique(field, SuperNodeColors(tree, degree.values()),
-                               Camera{}, 960, 720),
-                 out + "/fig10a_outlier_terrain.ppm");
+  const Image terrain = RenderOblique(
+      field, SuperNodeColors(tree, degree.values()), Camera{}, 960, 720);
+  const std::string terrain_path = out + "/fig10a_outlier_terrain.ppm";
+  bench::WriteChecked(terrain_path,
+                      [&] { return WritePpm(terrain, terrain_path); });
   std::printf("(a) outlier terrain (height=-LCI, color=degree) -> "
               "fig10a_outlier_terrain.ppm\n");
 
@@ -91,7 +93,9 @@ int main() {
     colors[0] = Rgb{220, 38, 38};
     const std::string path = out + "/fig10" + (drawn == 0 ? "b" : "c") +
                              "_outlier_neighborhood.svg";
-    (void)WriteNodeLinkSvg(sub.graph, pos, colors, path, 600, 3.5);
+    bench::WriteChecked(path, [&] {
+      return WriteNodeLinkSvg(sub.graph, pos, colors, path, 600, 3.5);
+    });
     std::printf("(%c) outlier vertex %u: LCI=%.2f, degree=%u, betweenness "
                 "rank high -> %s\n",
                 drawn == 0 ? 'b' : 'c', top, -outlier[top],
@@ -100,5 +104,5 @@ int main() {
   }
   std::printf("shape check: outlier vertices look like bridges between "
               "communities in the 2-hop drilldowns.\n");
-  return 0;
+  return bench::ExitCode();
 }

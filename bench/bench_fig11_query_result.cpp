@@ -90,8 +90,9 @@ int main() {
     const std::string path = out + "/fig11" +
                              (attribute == 0 ? "a" : "b") + "_attr" +
                              std::to_string(attribute + 1) + "_terrain.ppm";
-    (void)WritePpm(
-        RenderOblique(height_field, colors, Camera{}, 800, 600), path);
+    const Image terrain =
+        RenderOblique(height_field, colors, Camera{}, 800, 600);
+    bench::WriteChecked(path, [&] { return WritePpm(terrain, path); });
 
     // Separability: variance of per-genus mean heights.
     std::map<std::string, std::pair<double, uint32_t>> genus_height;
@@ -116,5 +117,5 @@ int main() {
               "%s\n",
               separability[0], separability[1],
               separability[0] > separability[1] ? "HOLDS" : "VIOLATED");
-  return 0;
+  return bench::ExitCode();
 }

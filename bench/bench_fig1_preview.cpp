@@ -34,9 +34,11 @@ int main() {
     degrees[v] = grqc.graph.Degree(v);
   const TerrainLayout core_layout = BuildTerrainLayout(core_tree);
   const HeightField core_field = RasterizeTerrain(core_layout);
-  (void)WritePpm(RenderOblique(core_field, SuperNodeColors(core_tree, degrees),
-                               Camera{}, 960, 720),
-                 out + "/fig1a_kcore_terrain.ppm");
+  const Image core_terrain = RenderOblique(
+      core_field, SuperNodeColors(core_tree, degrees), Camera{}, 960, 720);
+  const std::string core_path = out + "/fig1a_kcore_terrain.ppm";
+  bench::WriteChecked(core_path,
+                      [&] { return WritePpm(core_terrain, core_path); });
   const auto top = PeaksAtLevel(core_tree, kc.MaxValue());
   std::printf("Fig 1(a): densest K-Core K=%g, %zu disconnected densest "
               "core(s); click-to-inspect set sizes:", kc.MaxValue(),
@@ -68,15 +70,17 @@ int main() {
   const SuperTree tree(BuildVertexScalarTree(dblp.graph, field));
   const TerrainLayout layout = BuildTerrainLayout(tree);
   const HeightField height_field = RasterizeTerrain(layout);
-  (void)WritePpm(
-      RenderOblique(height_field, SuperNodeColors(tree, best_community),
-                    Camera{}, 960, 720),
-      out + "/fig1b_community_terrain.ppm");
+  const Image community_terrain = RenderOblique(
+      height_field, SuperNodeColors(tree, best_community), Camera{}, 960, 720);
+  const std::string community_path = out + "/fig1b_community_terrain.ppm";
+  bench::WriteChecked(community_path, [&] {
+    return WritePpm(community_terrain, community_path);
+  });
   std::printf("Fig 1(b): %u major peaks at score >= 0.5 (expect ~4, one per "
               "community)\n",
               CountComponentsAtLevel(tree, 0.5));
   std::printf("  -> %s/fig1b_community_terrain.ppm (height=score, "
               "color=community id)\n",
               out.c_str());
-  return 0;
+  return bench::ExitCode();
 }

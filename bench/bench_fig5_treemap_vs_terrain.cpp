@@ -32,13 +32,17 @@ int main() {
   const TerrainLayout layout = BuildTerrainLayout(tree);
 
   // (a) the flat 2D treemap: heights zeroed, color = scalar band.
-  (void)WriteTreemapSvg(layout, HeightColors(tree),
-                        out + "/fig5a_treemap.svg");
+  const std::string treemap_path = out + "/fig5a_treemap.svg";
+  bench::WriteChecked(treemap_path, [&] {
+    return WriteTreemapSvg(layout, HeightColors(tree), treemap_path);
+  });
   // (b) the 3D terrain.
   const HeightField field = RasterizeTerrain(layout);
-  (void)WritePpm(
-      RenderOblique(field, HeightColors(tree), Camera{}, 960, 720),
-      out + "/fig5b_terrain.ppm");
+  const Image terrain =
+      RenderOblique(field, HeightColors(tree), Camera{}, 960, 720);
+  const std::string terrain_path = out + "/fig5b_terrain.ppm";
+  bench::WriteChecked(terrain_path,
+                      [&] { return WritePpm(terrain, terrain_path); });
 
   // Color-channel quantization: distinct KC values per four-band color.
   std::map<uint32_t, std::set<double>> values_per_band;
@@ -58,5 +62,5 @@ int main() {
   }
   std::printf("-> %s/fig5a_treemap.svg, %s/fig5b_terrain.ppm\n", out.c_str(),
               out.c_str());
-  return 0;
+  return bench::ExitCode();
 }

@@ -38,7 +38,9 @@ void SpringPanel(const Dataset& ds, const std::string& path) {
   std::vector<Rgb> colors(ds.graph.NumVertices());
   for (VertexId v = 0; v < ds.graph.NumVertices(); ++v)
     colors[v] = FourBandColor(static_cast<double>(core[v]) / kmax);
-  (void)WriteNodeLinkSvg(ds.graph, pos, colors, path, 700, 1.2);
+  bench::WriteChecked(path, [&] {
+    return WriteNodeLinkSvg(ds.graph, pos, colors, path, 700, 1.2);
+  });
 }
 
 uint32_t TerrainPanel(const Dataset& ds, const std::string& path,
@@ -48,8 +50,9 @@ uint32_t TerrainPanel(const Dataset& ds, const std::string& path,
   const SuperTree tree(BuildVertexScalarTree(ds.graph, kc));
   const TerrainLayout layout = BuildTerrainLayout(tree);
   const HeightField field = RasterizeTerrain(layout);
-  (void)WritePpm(
-      RenderOblique(field, HeightColors(tree), Camera{}, 960, 720), path);
+  const Image terrain =
+      RenderOblique(field, HeightColors(tree), Camera{}, 960, 720);
+  bench::WriteChecked(path, [&] { return WritePpm(terrain, path); });
   *densest_k = kc.MaxValue();
   // "High peaks": disconnected components in the top 30% of the K range.
   const double high = kc.MinValue() + 0.7 * (kc.MaxValue() - kc.MinValue());
@@ -92,9 +95,11 @@ int main() {
   const SuperTree truss_tree(BuildEdgeScalarTree(grqc.graph, kt));
   const HeightField truss_field =
       RasterizeTerrain(BuildTerrainLayout(truss_tree));
-  (void)WritePpm(RenderOblique(truss_field, HeightColors(truss_tree),
-                               Camera{}, 960, 720),
-                 out + "/fig6e_grqc_ktruss_terrain.ppm");
+  const Image truss_terrain =
+      RenderOblique(truss_field, HeightColors(truss_tree), Camera{}, 960, 720);
+  const std::string truss_path = out + "/fig6e_grqc_ktruss_terrain.ppm";
+  bench::WriteChecked(truss_path,
+                      [&] { return WritePpm(truss_terrain, truss_path); });
   std::printf("(e) GrQc K-Truss terrain: densest KT=%g\n", kt.MaxValue());
 
   // Hierarchy readout the 2D tools cannot show: how many dense cores sit
@@ -117,8 +122,11 @@ int main() {
     shell_colors[v] = ContinuousColor(
         static_cast<double>(lanetvi.core_of[v]) /
         std::max(1u, lanetvi.max_core));
-  (void)WriteNodeLinkSvg(grqc.graph, lanetvi.positions, shell_colors,
-                         out + "/fig6f_grqc_lanetvi.svg", 700, 1.5);
+  const std::string lanetvi_path = out + "/fig6f_grqc_lanetvi.svg";
+  bench::WriteChecked(lanetvi_path, [&] {
+    return WriteNodeLinkSvg(grqc.graph, lanetvi.positions, shell_colors,
+                            lanetvi_path, 700, 1.5);
+  });
   std::printf("(f) LaNet-vi plot -> fig6f (color-coded shells, no "
               "containment channel)\n");
 
@@ -131,8 +139,10 @@ int main() {
     density[v] = std::max(density[v], static_cast<double>(truss[e]));
   }
   const CsvPlot plot = BuildCsvPlot(grqc.graph, density);
-  (void)WriteCsvPlotSvg(plot, out + "/fig6g_grqc_csv_plot.svg");
+  const std::string plot_path = out + "/fig6g_grqc_csv_plot.svg";
+  bench::WriteChecked(plot_path,
+                      [&] { return WriteCsvPlotSvg(plot, plot_path); });
   std::printf("(g) CSV plot -> fig6g (1D density curve; peaks without "
               "hierarchy)\n");
-  return 0;
+  return bench::ExitCode();
 }

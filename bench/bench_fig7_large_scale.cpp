@@ -56,8 +56,8 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
         // The parallel build is byte-identical to the sequential one, so
         // the cache's checksum verification doubles as an end-to-end
         // determinism check across thread counts and reruns.
-        artifact.tree = SuperTree(BuildVertexScalarTreeParallel(
-            ds.graph, kc, {bench::Threads(), 0}));
+        artifact.tree = SuperTree(
+            BuildVertexScalarTree(ds.graph, kc, {bench::Threads(), 0}));
         artifact.field_name = kc.Name();
         artifact.field_values = kc.Values();
         return artifact;
@@ -77,9 +77,11 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
     std::printf("    densest K-Core: %u vertices\n", peak.member_count);
   const HeightField core_field =
       RasterizeTerrain(BuildTerrainLayout(core_tree));
-  (void)WritePpm(RenderOblique(core_field, HeightColors(core_tree), Camera{},
-                               960, 720),
-                 out + "/fig7_" + ds.spec.name + "_kcore.ppm");
+  const Image core_terrain =
+      RenderOblique(core_field, HeightColors(core_tree), Camera{}, 960, 720);
+  const std::string core_path = out + "/fig7_" + ds.spec.name + "_kcore.ppm";
+  bench::WriteChecked(core_path,
+                      [&] { return WritePpm(core_terrain, core_path); });
 
   // K-Truss terrain (simplified tree for rendering, as §II-E prescribes for
   // large trees).
@@ -87,10 +89,10 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
   const StatusOr<TreeArtifact> truss = cache.GetOrBuild(
       ArtifactKey{dataset_key, "KT"}, [&]() -> StatusOr<TreeArtifact> {
         const EdgeScalarField kt = EdgeScalarField::FromCounts(
-            "KT", TrussNumbersParallel(ds.graph, {bench::Threads(), 0}));
+            "KT", TrussNumbers(ds.graph, {bench::Threads(), 0}));
         TreeArtifact artifact;
-        artifact.tree = SuperTree(BuildEdgeScalarTreeParallel(
-            ds.graph, kt, {bench::Threads(), 0}));
+        artifact.tree = SuperTree(
+            BuildEdgeScalarTree(ds.graph, kt, {bench::Threads(), 0}));
         artifact.field_name = kt.Name();
         artifact.field_values = kt.Values();
         return artifact;
@@ -115,9 +117,11 @@ bool Run(ArtifactCache& cache, DatasetId id, const std::string& out) {
           : truss_tree;
   const HeightField truss_field =
       RasterizeTerrain(BuildTerrainLayout(render_tree));
-  (void)WritePpm(RenderOblique(truss_field, HeightColors(render_tree),
-                               Camera{}, 960, 720),
-                 out + "/fig7_" + ds.spec.name + "_ktruss.ppm");
+  const Image truss_terrain =
+      RenderOblique(truss_field, HeightColors(render_tree), Camera{}, 960, 720);
+  const std::string truss_path = out + "/fig7_" + ds.spec.name + "_ktruss.ppm";
+  bench::WriteChecked(truss_path,
+                      [&] { return WritePpm(truss_terrain, truss_path); });
   return true;
 }
 
@@ -149,5 +153,5 @@ int main() {
   std::printf("shape check: scale-free link/citation graphs grow one "
               "dominant dense structure whose\nK value far exceeds the "
               "collaboration networks' (paper: K-Truss K=86, K-Core K=64).\n");
-  return 0;
+  return bench::ExitCode();
 }

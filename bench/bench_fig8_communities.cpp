@@ -43,8 +43,9 @@ int main() {
     const HeightField field = RasterizeTerrain(layout);
     const std::string path =
         out + "/fig8_community" + std::to_string(c) + ".ppm";
-    (void)WritePpm(
-        RenderOblique(field, HeightColors(tree), Camera{}, 800, 600), path);
+    const Image terrain =
+        RenderOblique(field, HeightColors(tree), Camera{}, 800, 600);
+    bench::WriteChecked(path, [&] { return WritePpm(terrain, path); });
 
     // Sub-peak structure near the summit: disconnected high-score cores.
     const auto core_peaks = PeaksAtLevel(tree, 0.8);
@@ -85,5 +86,5 @@ int main() {
   }
   std::printf("\nshape check: every community = one major peak; twin "
               "sub-communities = 2 disconnected core peaks near the summit.\n");
-  return 0;
+  return bench::ExitCode();
 }

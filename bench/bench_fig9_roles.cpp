@@ -55,8 +55,10 @@ int main() {
       if (votes[r] > votes[best]) best = r;
     colors[node] = RoleColor(static_cast<VertexRole>(best));
   }
-  (void)WritePpm(RenderOblique(field, colors, Camera{}, 800, 600),
-                 out + "/fig9a_roles_terrain.ppm");
+  const Image terrain = RenderOblique(field, colors, Camera{}, 800, 600);
+  const std::string terrain_path = out + "/fig9a_roles_terrain.ppm";
+  bench::WriteChecked(terrain_path,
+                      [&] { return WritePpm(terrain, terrain_path); });
 
   // The paper's layering claim, checked on heights.
   double mean_height[5] = {0, 0, 0, 0, 0};
@@ -83,8 +85,10 @@ int main() {
   std::vector<Rgb> vertex_colors(sub.graph.NumVertices());
   for (VertexId local = 0; local < sub.graph.NumVertices(); ++local)
     vertex_colors[local] = RoleColor(roles[sub.to_parent_vertex[local]]);
-  (void)WriteNodeLinkSvg(sub.graph, pos, vertex_colors,
-                         out + "/fig9b_community_detail.svg", 700, 3.0);
+  const std::string svg_path = out + "/fig9b_community_detail.svg";
+  bench::WriteChecked(svg_path, [&] {
+    return WriteNodeLinkSvg(sub.graph, pos, vertex_colors, svg_path, 700, 3.0);
+  });
 
   // Table III analogue: exemplar members per role (synthetic product ids
   // stand in for the paper's book titles).
@@ -98,5 +102,5 @@ int main() {
                 amazon.community_score[v], amazon.graph.Degree(v));
     ++printed[r];
   }
-  return 0;
+  return bench::ExitCode();
 }

@@ -71,7 +71,7 @@ void BM_BuildEdgeScalarTreeParallel(benchmark::State& state) {
   const EdgeScalarField field = RandomEdgeField(g, 2);
   const ParallelOptions options{threads, 0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildEdgeScalarTreeParallel(g, field, options));
+    benchmark::DoNotOptimize(BuildEdgeScalarTree(g, field, options));
   }
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }

@@ -56,16 +56,16 @@ void BM_PageRank(benchmark::State& state) {
 }
 BENCHMARK(BM_PageRank)->Range(1 << 10, 1 << 16);
 
-// Parallel metric rows (docs/PARALLELISM.md): each /threads:N row is
-// exactly equal (integer metrics) or bit-identical (floating point) to
-// its sequential counterpart above — tests/parallel_test.cc pins that;
-// these rows record the speed side.
+// Parallel metric rows (docs/PARALLELISM.md): the same entry points as
+// the rows above, given a thread count. Each /threads:N row is exactly
+// equal (integer metrics) or bit-identical (floating point) to the
+// default one-lane call — tests/parallel_test.cc pins that; these rows
+// record the speed side. /threads:1 runs the one-lane body itself.
 void BM_TriangleCountParallel(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   const Graph g = CollabGraph(1 << 16);
   const ParallelOptions options{threads, 0};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(CountTrianglesParallel(g, options));
+  for (auto _ : state) benchmark::DoNotOptimize(CountTriangles(g, options));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_TriangleCountParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
@@ -74,8 +74,7 @@ void BM_PageRankParallel(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   const Graph g = CollabGraph(1 << 16);
   const ParallelOptions parallel{threads, 0};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(PageRankParallel(g, {}, parallel));
+  for (auto _ : state) benchmark::DoNotOptimize(PageRank(g, {}, parallel));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_PageRankParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
@@ -84,8 +83,7 @@ void BM_TrussNumbersParallel(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
   const Graph g = CollabGraph(1 << 15);
   const ParallelOptions options{threads, 0};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(TrussNumbersParallel(g, options));
+  for (auto _ : state) benchmark::DoNotOptimize(TrussNumbers(g, options));
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_TrussNumbersParallel)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);

@@ -81,7 +81,7 @@ void BM_BuildVertexScalarTreeParallel(benchmark::State& state) {
   const VertexScalarField field("f", values);
   const ParallelOptions options{threads, 0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildVertexScalarTreeParallel(g, field, options));
+    benchmark::DoNotOptimize(BuildVertexScalarTree(g, field, options));
   }
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }

@@ -8,8 +8,8 @@
 //   te — the naive dual-graph edge-tree baseline (edge scalars only;
 //        attempted through the guarded builder, so hub-heavy rows print
 //        "guard" instead of burning hours),
-//   tv — terrain generation time; blocked on terrain/ (ROADMAP item 10),
-//        printed as "-" until that subsystem lands.
+//   tv — terrain generation time for the row's super tree: layout,
+//        height-field raster and the oblique render, timed together.
 // Shape to hold: tc seconds-scale even on the largest graphs; te >> tc and
 // exploding with hub degrees (the paper's 16334 s Wikipedia cell).
 
@@ -25,6 +25,9 @@
 #include "scalar/edge_scalar_tree.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/super_tree.h"
+#include "terrain/render.h"
+#include "terrain/terrain_layout.h"
+#include "terrain/terrain_raster.h"
 
 namespace {
 
@@ -35,6 +38,16 @@ using namespace graphscape;
 // refused instantly (the guard checks Σ deg² before building anything).
 constexpr uint64_t kRowNaiveCap = 1ull << 24;
 
+// tv: BuildTerrainLayout -> RasterizeTerrain -> RenderOblique of one
+// super tree, at the figure benches' default raster and 960x720 render.
+double TerrainSeconds(const SuperTree& super) {
+  WallTimer timer;
+  const HeightField field = RasterizeTerrain(BuildTerrainLayout(super));
+  const Image image =
+      RenderOblique(field, HeightColors(super), Camera{}, 960, 720);
+  return timer.Seconds();
+}
+
 void RunVertexRow(const Dataset& ds) {
   WallTimer timer;
   const VertexScalarField kc =
@@ -42,8 +55,8 @@ void RunVertexRow(const Dataset& ds) {
   const ScalarTree tree = BuildVertexScalarTree(ds.graph, kc);
   const SuperTree super(tree);
   const double tc = timer.Seconds();
-  std::printf("%-11s %-6s %9u %9.4f %9s %9s\n", ds.spec.name, "KC(v)",
-              super.NumNodes(), tc, "-", "-");
+  std::printf("%-11s %-6s %9u %9.4f %9s %9.4f\n", ds.spec.name, "KC(v)",
+              super.NumNodes(), tc, "-", TerrainSeconds(super));
 }
 
 void RunEdgeRow(const Dataset& ds) {
@@ -66,9 +79,9 @@ void RunEdgeRow(const Dataset& ds) {
   } else {
     te = "guard";  // line graph would blow past the size cap
   }
-  std::printf("%-11s %-6s %9u %9.4f %9s %9s   (KT field: %.2fs)\n",
-              ds.spec.name, "KT(e)", super.NumNodes(), tc, te.c_str(), "-",
-              t_field);
+  std::printf("%-11s %-6s %9u %9.4f %9s %9.4f   (KT field: %.2fs)\n",
+              ds.spec.name, "KT(e)", super.NumNodes(), tc, te.c_str(),
+              TerrainSeconds(super), t_field);
 }
 
 }  // namespace
@@ -76,8 +89,7 @@ void RunEdgeRow(const Dataset& ds) {
 int main() {
   using namespace graphscape;
   bench::Banner("Table II — terrain visualization time cost (sec)",
-                "paper Table II (Nt, tc, te per dataset x scalar; tv "
-                "blocked on terrain/)");
+                "paper Table II (Nt, tc, te, tv per dataset x scalar)");
   std::printf("%-11s %-6s %9s %9s %9s %9s\n", "Dataset", "Scalar", "Nt", "tc",
               "te", "tv");
 

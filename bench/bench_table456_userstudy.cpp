@@ -53,21 +53,28 @@ void EmitFig12Panels(const char* name, const Graph& graph,
                      const ToolArtifacts& artifacts, const std::string& out) {
   const HeightField field =
       RasterizeTerrain(BuildTerrainLayout(artifacts.tree));
-  (void)WritePpm(RenderOblique(field, HeightColors(artifacts.tree), Camera{},
-                               700, 520),
-                 out + "/fig12_" + name + "_terrain.ppm");
+  const Image terrain =
+      RenderOblique(field, HeightColors(artifacts.tree), Camera{}, 700, 520);
+  const std::string prefix = out + "/fig12_" + name;
+  const std::string terrain_path = prefix + "_terrain.ppm";
+  bench::WriteChecked(terrain_path,
+                      [&] { return WritePpm(terrain, terrain_path); });
   uint32_t kmax = 1;
   for (uint32_t c : artifacts.cores) kmax = std::max(kmax, c);
   std::vector<Rgb> colors(graph.NumVertices());
   for (VertexId v = 0; v < graph.NumVertices(); ++v)
     colors[v] =
         ContinuousColor(static_cast<double>(artifacts.cores[v]) / kmax);
-  (void)WriteNodeLinkSvg(graph, artifacts.lanetvi.positions, colors,
-                         out + "/fig12_" + std::string(name) + "_lanetvi.svg",
-                         600, 1.5);
-  (void)WriteNodeLinkSvg(graph, artifacts.openord, colors,
-                         out + "/fig12_" + std::string(name) + "_openord.svg",
-                         600, 1.5);
+  const std::string lanetvi_svg = prefix + "_lanetvi.svg";
+  bench::WriteChecked(lanetvi_svg, [&] {
+    return WriteNodeLinkSvg(graph, artifacts.lanetvi.positions, colors,
+                            lanetvi_svg, 600, 1.5);
+  });
+  const std::string openord_svg = prefix + "_openord.svg";
+  bench::WriteChecked(openord_svg, [&] {
+    return WriteNodeLinkSvg(graph, artifacts.openord, colors, openord_svg, 600,
+                            1.5);
+  });
 }
 
 void RunCoreTask(StudyTask task, const char* table_name,
@@ -160,15 +167,19 @@ int main() {
   const VertexScalarField betw_field("betweenness", betweenness.values());
   const SuperTree tree(BuildVertexScalarTree(astro.graph, betw_field));
   const HeightField field = RasterizeTerrain(BuildTerrainLayout(tree));
-  (void)WritePpm(
-      RenderOblique(field, SuperNodeColors(tree, degree.values()), Camera{},
-                    700, 520),
-      out + "/fig13a_astro_terrain.ppm");
+  const Image astro_terrain = RenderOblique(
+      field, SuperNodeColors(tree, degree.values()), Camera{}, 700, 520);
+  const std::string terrain_path = out + "/fig13a_astro_terrain.ppm";
+  bench::WriteChecked(terrain_path,
+                      [&] { return WritePpm(astro_terrain, terrain_path); });
   std::vector<Rgb> colors(astro.graph.NumVertices());
   for (VertexId v = 0; v < astro.graph.NumVertices(); ++v)
     colors[v] = FourBandColor(betweenness[v] / betweenness.MaxValue());
-  (void)WriteNodeLinkSvg(astro.graph, openord_positions, colors,
-                         out + "/fig13b_astro_openord.svg", 600, 1.5);
+  const std::string openord_svg = out + "/fig13b_astro_openord.svg";
+  bench::WriteChecked(openord_svg, [&] {
+    return WriteNodeLinkSvg(astro.graph, openord_positions, colors, openord_svg,
+                            600, 1.5);
+  });
 
   std::printf("\nshape check: terrain == 1.0 accuracy and lowest time on "
               "Tasks 1-2; Task 2 punishes the 2D tools hardest (edge "
@@ -178,5 +189,5 @@ int main() {
   std::printf("accuracy ordering (terrain >= 2D tools on every row): %s\n",
               evidence_table.Dominates(StudyTool::kTerrain) ? "HOLDS"
                                                             : "VIOLATED");
-  return 0;
+  return bench::ExitCode();
 }

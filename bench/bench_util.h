@@ -1,13 +1,15 @@
 // Copyright 2026 The GraphScape Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Shared helpers for the figure/table benches: output directory handling
-// and uniform banner printing so every bench reads the same way.
+// Shared helpers for the figure/table benches: output directory handling,
+// checked figure writes, and uniform banner printing so every bench reads
+// the same way.
 
 #ifndef GRAPHSCAPE_BENCH_BENCH_UTIL_H_
 #define GRAPHSCAPE_BENCH_BENCH_UTIL_H_
 
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +67,31 @@ inline bool FullScale() {
   };
   return iequals("1") || iequals("true") || iequals("yes");
 }
+
+/// Figure writes that failed so far in this process (see WriteChecked).
+inline int& FailedWrites() {
+  static int failed = 0;
+  return failed;
+}
+
+/// Runs write(), a call that writes the figure file at `path` through
+/// WritePpm, WriteNodeLinkSvg or another writer that reports failure
+/// only as `false`, and checks it: the figure is either written or the
+/// run fails. A failed write prints the path and the OS error (or, with
+/// none, that the writer rejected its input) to stderr and is counted,
+/// so main's `return bench::ExitCode();` exits nonzero.
+template <typename Write>
+void WriteChecked(const std::string& path, Write&& write) {
+  errno = 0;
+  if (write()) return;
+  const int error = errno;
+  std::fprintf(stderr, "bench: failed to write %s: %s\n", path.c_str(),
+               error != 0 ? std::strerror(error) : "writer rejected its input");
+  ++FailedWrites();
+}
+
+/// main's exit status: 1 once any WriteChecked call failed, else 0.
+inline int ExitCode() { return FailedWrites() == 0 ? 0 : 1; }
 
 inline void Banner(const char* experiment, const char* paper_content) {
   std::printf("==========================================================\n");

@@ -71,12 +71,6 @@ class EdgeIndex {
   /// Graph::EdgeEndpoints by construction (same CSR traversal order).
   VertexId U(uint32_t e) const { return graph_->EdgeSources()[e]; }
   VertexId V(uint32_t e) const { return graph_->EdgeTargets()[e]; }
-  const std::vector<VertexId>& EndpointsU() const {
-    return graph_->EdgeSources();
-  }
-  const std::vector<VertexId>& EndpointsV() const {
-    return graph_->EdgeTargets();
-  }
 
   /// Edge id of the s-th CSR adjacency slot.
   uint32_t EdgeAtSlot(uint32_t slot) const { return slot_eid_[slot]; }

@@ -16,10 +16,12 @@
 // Who calls what (keep this current when rewiring a metric):
 //
 //   count-only (never pays a callback):
-//     * metrics/triangles.cc  — CountTriangles* via intersect::Count over
-//       forward (degree-oriented) runs; per-vertex tallies via
-//       intersect::Into into a reused scratch run;
-//     * metrics/ktruss.cc     — CountSupport: CountCommonNeighbors(u, v);
+//     * metrics/triangles.cc  — CountTriangles via intersect::Count over
+//       forward (degree-oriented) runs; VertexTriangleCounts (and so
+//       LocalClusteringCoefficients) via intersect::Into into a reused
+//       per-lane scratch run;
+//     * metrics/ktruss.cc     — TrussNumbers' CountSupport:
+//       CountCommonNeighbors(u, v);
 //     * metrics/clustering.cc — TrianglesThrough (sampled cc):
 //       CountCommonNeighbors(v, u);
 //     * metrics/nucleus.cc    — per-triangle 4-clique support:

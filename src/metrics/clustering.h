@@ -25,24 +25,18 @@
 
 namespace graphscape {
 
-/// cc(v) for every vertex, exact.
-std::vector<double> LocalClusteringCoefficients(const Graph& g);
+/// cc(v) for every vertex, exact — BIT-IDENTICAL for every thread
+/// count: triangle counts come from VertexTriangleCounts (exact integers)
+/// and each cc(v) is a pure function of (t(v), deg(v)).
+std::vector<double> LocalClusteringCoefficients(
+    const Graph& g, const ParallelOptions& options = {1, 0});
 
-/// Exact average of cc(v) over all vertices (0 for an empty graph).
-double AverageClusteringCoefficient(const Graph& g);
-
-/// LocalClusteringCoefficients over the pool — BIT-IDENTICAL to the
-/// sequential result for every thread count: triangle counts come from
-/// VertexTriangleCountsParallel (exact integers) and each cc(v) is a
-/// pure function of (t(v), deg(v)).
-std::vector<double> LocalClusteringCoefficientsParallel(
-    const Graph& g, const ParallelOptions& options = {});
-
-/// Average over the parallel coefficients. The final fold stays a
-/// sequential left-to-right accumulate over v — the same op order as
-/// AverageClusteringCoefficient, hence bit-identical to it.
-double AverageClusteringCoefficientParallel(
-    const Graph& g, const ParallelOptions& options = {});
+/// Exact average of cc(v) over all vertices (0 for an empty graph). Only
+/// the per-vertex coefficients run on the pool; the final fold stays a
+/// sequential left-to-right accumulate over v, hence bit-identical for
+/// every thread count.
+double AverageClusteringCoefficient(const Graph& g,
+                                    const ParallelOptions& options = {1, 0});
 
 /// Unbiased estimate of AverageClusteringCoefficient from cc computed
 /// exactly on `num_samples` vertices drawn uniformly without replacement

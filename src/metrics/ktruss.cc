@@ -31,8 +31,8 @@ std::vector<uint32_t> PeelBySupport(const Graph& g, const EdgeIndex& index,
                                     std::vector<uint32_t>* support_in);
 
 // Support = triangles per edge; one independent count-only sorted-run
-// intersection per edge (SIMD/galloping, no callback), so the parallel
-// variant reuses this body verbatim.
+// intersection per edge (SIMD/galloping, no callback), so it runs on
+// the pool with disjoint writes.
 std::vector<uint32_t> CountSupport(const Graph& g, const EdgeIndex& index,
                                    const ParallelOptions& options) {
   std::vector<uint32_t> support(index.NumEdges(), 0);
@@ -45,14 +45,8 @@ std::vector<uint32_t> CountSupport(const Graph& g, const EdgeIndex& index,
 
 }  // namespace
 
-std::vector<uint32_t> TrussNumbers(const Graph& g) {
-  const EdgeIndex index(g);
-  std::vector<uint32_t> support = CountSupport(g, index, {1, 0});
-  return PeelBySupport(g, index, &support);
-}
-
-std::vector<uint32_t> TrussNumbersParallel(const Graph& g,
-                                           const ParallelOptions& options) {
+std::vector<uint32_t> TrussNumbers(const Graph& g,
+                                   const ParallelOptions& options) {
   const EdgeIndex index(g);
   std::vector<uint32_t> support = CountSupport(g, index, options);
   return PeelBySupport(g, index, &support);

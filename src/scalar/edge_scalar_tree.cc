@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/string_util.h"
+#include "graph/edge_index.h"
 #include "graph/graph_builder.h"
 #include "metrics/ktruss.h"
 #include "metrics/nucleus.h"
@@ -16,12 +17,15 @@ namespace graphscape {
 
 namespace {
 
-// The Algorithm 3 sweep proper, over edge endpoints in EdgeList order,
-// given a precomputed sweep order (adopted into the returned tree).
-ScalarTree SweepEdgesInOrder(uint32_t n, uint32_t m, const VertexId* eu,
-                             const VertexId* ev,
-                             const std::vector<double>& values,
-                             std::vector<uint32_t> order) {
+// The Algorithm 3 sweep proper, given the sweep order (adopted into the
+// returned tree). It only needs endpoints per edge id, never the CSR
+// twin mapping — the graph already stores them in EdgeList order.
+ScalarTree SweepEdges(const Graph& g, const std::vector<double>& values,
+                      std::vector<uint32_t> order) {
+  const uint32_t n = g.NumVertices();
+  const uint32_t m = static_cast<uint32_t>(order.size());
+  const VertexId* const eu = g.EdgeSources().data();
+  const VertexId* const ev = g.EdgeTargets().data();
   // Union-find over the ORIGINAL graph's vertices — this is what makes
   // the dual graph unnecessary. head[r] is the latest-swept edge in the
   // vertex component rooted at r, or kInvalidVertex while the component
@@ -66,52 +70,15 @@ ScalarTree SweepEdgesInOrder(uint32_t n, uint32_t m, const VertexId* eu,
                     std::move(order), num_roots);
 }
 
-// Sort-then-sweep wrapper shared by the EdgeIndex overload.
-ScalarTree SweepEdges(uint32_t n, uint32_t m, const VertexId* eu,
-                      const VertexId* ev,
-                      const std::vector<double>& values) {
-  // The single sort: edges by (value desc, id asc) — superlevel sweep.
-  std::vector<uint32_t> order, rank;
-  tree_core::SortSweepOrder(values, &order, &rank);
-  return SweepEdgesInOrder(n, m, eu, ev, values, std::move(order));
-}
-
 }  // namespace
 
-ScalarTree BuildEdgeScalarTree(const Graph& g,
-                               const EdgeScalarField& field) {
-  // The sweep only needs endpoints per edge id, never the CSR twin
-  // mapping — the graph already stores them in EdgeList order.
-  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
-  assert(field.Size() == m);
-  return SweepEdges(g.NumVertices(), m, g.EdgeSources().data(),
-                    g.EdgeTargets().data(), field.Values());
-}
-
-ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
-                                       const EdgeScalarField& field,
-                                       const ParallelOptions& options) {
-  const uint32_t m = static_cast<uint32_t>(g.NumEdges());
-  assert(field.Size() == m);
-  const uint32_t lanes =
-      options.num_threads == 0 ? DefaultThreads() : options.num_threads;
-  // Exact sequential fallback: same code path, not a 1-lane simulation.
-  if (lanes <= 1) return BuildEdgeScalarTree(g, field);
-  // Parallel sort, sequential sweep (see the header for why the edge
-  // sweep cannot be chunked); identical order array => identical tree.
+ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeScalarField& field,
+                               const ParallelOptions& options) {
+  assert(field.Size() == g.NumEdges());
+  // The single sort: edges by (value desc, id asc) — superlevel sweep.
   std::vector<uint32_t> order, rank;
-  tree_core::ParallelSortSweepOrder(field.Values(), &order, &rank, options);
-  return SweepEdgesInOrder(g.NumVertices(), m, g.EdgeSources().data(),
-                           g.EdgeTargets().data(), field.Values(),
-                           std::move(order));
-}
-
-ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
-                               const EdgeScalarField& field) {
-  assert(field.Size() == index.NumEdges());
-  return SweepEdges(g.NumVertices(), index.NumEdges(),
-                    index.EndpointsU().data(), index.EndpointsV().data(),
-                    field.Values());
+  tree_core::SortSweepOrder(field.Values(), &order, &rank, options);
+  return SweepEdges(g, field.Values(), std::move(order));
 }
 
 uint64_t EdgeScalarTreeBuildBytes(uint32_t num_vertices,

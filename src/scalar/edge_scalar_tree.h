@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "common/budget.h"
+#include "common/parallel.h"
 #include "common/status.h"
-#include "graph/edge_index.h"
 #include "graph/graph.h"
 #include "scalar/scalar_field.h"
 #include "scalar/scalar_tree.h"
@@ -40,8 +40,7 @@ namespace graphscape {
 
 /// One scalar per undirected edge, indexed in EdgeList order (ascending
 /// smaller endpoint, then larger) — the order TrussNumbers and
-/// EdgeIndex use. The undirected-twin mapping from CSR slots to these
-/// ids is resolved once by constructing an EdgeIndex.
+/// EdgeIndex use.
 class EdgeScalarField : public internal::CheckedScalarField {
  public:
   EdgeScalarField(std::string name, std::vector<double> values)
@@ -60,24 +59,24 @@ class EdgeScalarField : public internal::CheckedScalarField {
 /// Algorithm 3. Requires field.Size() == g.NumEdges(). The returned
 /// tree's nodes are edge ids; NumRoots() is the number of connected
 /// components that contain at least one edge (isolated vertices have no
-/// edge-tree presence).
-ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeScalarField& field);
+/// edge-tree presence). The sweep loop itself performs zero heap
+/// allocations. With wider options the (value desc, id asc) sort runs on
+/// the pool, byte-identical for every thread count; the sweep stays
+/// sequential BY DESIGN: its same-component case is a plateau CHAIN
+/// (parent[head] = e; head = e), not a no-op, so the prune-and-replay
+/// filter that parallelizes the vertex sweep is unsound here — a
+/// chunk-local sweep cannot know the global head an edge must chain
+/// under. See docs/PARALLELISM.md.
+ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeScalarField& field,
+                               const ParallelOptions& options = {1, 0});
 
-/// Same, amortizing the twin-mapping resolution across builds. The sweep
-/// loop itself performs zero heap allocations.
-ScalarTree BuildEdgeScalarTree(const Graph& g, const EdgeIndex& index,
-                               const EdgeScalarField& field);
-
-/// Parallel Algorithm 3: the (value desc, id asc) sort and the rank
-/// setup run on the pool; byte-identical to BuildEdgeScalarTree for
-/// every thread count. The sweep itself stays sequential BY DESIGN: its
-/// same-component case is a plateau CHAIN (parent[head] = e; head = e),
-/// not a no-op, so the prune-and-replay filter that parallelizes the
-/// vertex sweep is unsound here — a chunk-local sweep cannot know the
-/// global head an edge must chain under. See docs/PARALLELISM.md.
-ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
-                                       const EdgeScalarField& field,
-                                       const ParallelOptions& options = {});
+/// Kept only for perfbench/, which the benchmark definition freezes; it
+/// goes when the benchmark is next redefined.
+inline ScalarTree BuildEdgeScalarTreeParallel(const Graph& g,
+                                              const EdgeScalarField& field,
+                                              const ParallelOptions& options) {
+  return BuildEdgeScalarTree(g, field, options);
+}
 
 /// Working-set bytes BuildEdgeScalarTree allocates for n vertices and m
 /// edges — what the guarded build charges before running.

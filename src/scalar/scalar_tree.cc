@@ -11,17 +11,14 @@
 
 namespace graphscape {
 
-ScalarTree BuildVertexScalarTree(const Graph& g,
-                                 const VertexScalarField& field) {
-  const uint32_t n = g.NumVertices();
-  assert(field.Size() == n);
-  const std::vector<double>& values = field.Values();
+namespace {
 
-  // The single sort: vertices by (value desc, id asc) — superlevel sweep
-  // order. rank[v] is v's position in that order; comparing ranks is the
-  // total order used everywhere below.
-  std::vector<uint32_t> order, rank;
-  tree_core::SortSweepOrder(values, &order, &rank);
+// The plain sweep — the one-lane build, and the oracle the chunked
+// sweep below is tested against.
+ScalarTree PlainSweep(const Graph& g, const std::vector<double>& values,
+                      std::vector<uint32_t> order,
+                      const std::vector<uint32_t>& rank) {
+  const uint32_t n = g.NumVertices();
 
   // Union-find state + the tree arena, all sized up front. `head[r]` is the
   // highest-rank vertex swept so far in the component rooted at r — the
@@ -65,20 +62,12 @@ ScalarTree BuildVertexScalarTree(const Graph& g,
                     std::move(order), num_roots);
 }
 
-ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
-                                         const VertexScalarField& field,
-                                         const ParallelOptions& options) {
+// The chunked sweep over `lanes` lanes; byte-identical to PlainSweep.
+ScalarTree ChunkedSweep(const Graph& g, const std::vector<double>& values,
+                        std::vector<uint32_t> order,
+                        const std::vector<uint32_t>& rank,
+                        const ParallelOptions& options, uint32_t lanes) {
   const uint32_t n = g.NumVertices();
-  assert(field.Size() == n);
-  const uint32_t lanes =
-      options.num_threads == 0 ? DefaultThreads() : options.num_threads;
-  // Exact sequential fallback: same code path, not a 1-lane simulation.
-  if (lanes <= 1) return BuildVertexScalarTree(g, field);
-  const std::vector<double>& values = field.Values();
-
-  std::vector<uint32_t> order, rank;
-  tree_core::ParallelSortSweepOrder(values, &order, &rank, options);
-
   const uint64_t min_chunk = options.grain == 0 ? 4096 : options.grain;
   const std::vector<uint64_t> bounds =
       tree_core::MakeSweepChunks(n, lanes, min_chunk);
@@ -183,6 +172,25 @@ ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
 
   return ScalarTree(std::move(parents), std::vector<double>(values),
                     std::move(order), n - attaches);
+}
+
+}  // namespace
+
+ScalarTree BuildVertexScalarTree(const Graph& g, const VertexScalarField& field,
+                                 const ParallelOptions& options) {
+  assert(field.Size() == g.NumVertices());
+  const std::vector<double>& values = field.Values();
+
+  // The single sort: vertices by (value desc, id asc) — superlevel sweep
+  // order. rank[v] is v's position in that order; comparing ranks is the
+  // total order used everywhere below.
+  std::vector<uint32_t> order, rank;
+  tree_core::SortSweepOrder(values, &order, &rank, options);
+
+  const uint32_t lanes =
+      options.num_threads == 0 ? DefaultThreads() : options.num_threads;
+  if (lanes <= 1) return PlainSweep(g, values, std::move(order), rank);
+  return ChunkedSweep(g, values, std::move(order), rank, options, lanes);
 }
 
 uint64_t VertexScalarTreeBuildBytes(uint32_t num_vertices) {

@@ -75,25 +75,28 @@ class ScalarTree {
   uint32_t num_roots_ = 0;
 };
 
-/// Algorithm 1. Requires field.Size() == g.NumVertices().
-ScalarTree BuildVertexScalarTree(const Graph& g,
-                                 const VertexScalarField& field);
-
-/// Parallel Algorithm 1: byte-identical output to BuildVertexScalarTree
-/// for EVERY thread count (pinned by tests/parallel_test.cc; determinism
-/// argument in docs/PARALLELISM.md). Three phases: a parallel
-/// (value desc, id asc) sort — unique result, the comparator is a total
-/// order — then chunk-local union-find sweeps over rank-partitioned
-/// chunks that drop provably redundant intra-chunk edges, then a
-/// sequential boundary replay of the kept edges in sweep order, which
-/// performs the exact merge sequence of the sequential build.
-/// options.num_threads == 1 (or an effective width of 1) calls
-/// BuildVertexScalarTree directly; options.grain overrides the minimum
-/// sweep-chunk length (default 4096 — tests shrink it to force
+/// Algorithm 1. Requires field.Size() == g.NumVertices(). One lane (the
+/// default) runs the plain sweep described above. Wider options run the
+/// chunked build, byte-identical to the plain sweep for EVERY thread
+/// count (pinned by tests/parallel_test.cc; determinism argument in
+/// docs/PARALLELISM.md). Three phases: a parallel (value desc, id asc)
+/// sort — unique result, the comparator is a total order — then
+/// chunk-local union-find sweeps over rank-partitioned chunks that drop
+/// provably redundant intra-chunk edges, then a sequential boundary
+/// replay of the kept edges in sweep order, which performs the exact
+/// merge sequence of the plain sweep. options.grain overrides the
+/// minimum sweep-chunk length (default 4096 — tests shrink it to force
 /// adversarial chunk boundaries).
-ScalarTree BuildVertexScalarTreeParallel(const Graph& g,
-                                         const VertexScalarField& field,
-                                         const ParallelOptions& options = {});
+ScalarTree BuildVertexScalarTree(const Graph& g, const VertexScalarField& field,
+                                 const ParallelOptions& options = {1, 0});
+
+/// Kept only for perfbench/, which the benchmark definition freezes; it
+/// goes when the benchmark is next redefined.
+inline ScalarTree BuildVertexScalarTreeParallel(
+    const Graph& g, const VertexScalarField& field,
+    const ParallelOptions& options) {
+  return BuildVertexScalarTree(g, field, options);
+}
 
 /// Working-set bytes BuildVertexScalarTree allocates for an n-vertex
 /// graph (order/rank, union-find state, parents, the values copy) — the

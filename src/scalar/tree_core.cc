@@ -3,13 +3,15 @@
 
 #include "scalar/tree_core.h"
 
+#include <numeric>
+
 #include "common/parallel.h"
 
 namespace graphscape {
 namespace tree_core {
 namespace {
 
-// The sweep comparator — must stay in lockstep with SortSweepOrder.
+// The sweep comparator: value descending, id ascending.
 struct SweepLess {
   const double* values;
   bool operator()(uint32_t a, uint32_t b) const {
@@ -38,21 +40,23 @@ uint64_t CoRank(uint64_t k, const uint32_t* a, uint64_t na, const uint32_t* b,
 
 }  // namespace
 
-void ParallelSortSweepOrder(const std::vector<double>& values,
-                            std::vector<uint32_t>* order,
-                            std::vector<uint32_t>* rank,
-                            const ParallelOptions& options) {
+void SortSweepOrder(const std::vector<double>& values,
+                    std::vector<uint32_t>* order, std::vector<uint32_t>* rank,
+                    const ParallelOptions& options) {
   const uint32_t n = static_cast<uint32_t>(values.size());
-  const uint32_t lanes =
-      EffectiveLanes({options.num_threads, /*grain=*/1}, n);
-  if (lanes <= 1 || n < 4096) {
-    SortSweepOrder(values, order, rank);
-    return;
-  }
   const SweepLess less{values.data()};
   order->resize(n);
   rank->resize(n);
   uint32_t* const ord = order->data();
+  uint32_t* const rank_data = rank->data();
+  const uint32_t lanes =
+      EffectiveLanes({options.num_threads, /*grain=*/1}, n);
+  if (lanes <= 1 || n < 4096) {
+    std::iota(ord, ord + n, 0u);
+    std::sort(ord, ord + n, less);
+    for (uint32_t i = 0; i < n; ++i) rank_data[ord[i]] = i;
+    return;
+  }
   const ParallelOptions fill_opts{lanes, 0};
   ParallelFor(0, n, fill_opts,
               [ord](uint64_t i) { ord[i] = static_cast<uint32_t>(i); });
@@ -109,7 +113,6 @@ void ParallelSortSweepOrder(const std::vector<double>& values,
     });
   }
 
-  uint32_t* const rank_data = rank->data();
   ParallelFor(0, n, fill_opts, [ord, rank_data](uint64_t i) {
     rank_data[ord[i]] = static_cast<uint32_t>(i);
   });

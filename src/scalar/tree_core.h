@@ -43,10 +43,10 @@
 //    tests pin vertex-vs-edge bucketing to be the same.
 //
 //  * What the parallel builds lean on (docs/PARALLELISM.md). Three of
-//    the invariants above are exactly what makes the chunked sweep of
-//    BuildVertexScalarTreeParallel byte-identical to the sequential
-//    build: (1) the sweep comparator is a STRICT TOTAL order, so the
-//    sorted (order, rank) arrays are unique — ParallelSortSweepOrder may
+//    the invariants above are exactly what makes the chunked sweep of a
+//    multi-lane BuildVertexScalarTree byte-identical to the one-lane
+//    plain sweep: (1) the sweep comparator is a STRICT TOTAL order, so
+//    the sorted (order, rank) arrays are unique — SortSweepOrder may
 //    schedule its chunk sorts and co-rank merges any way it likes and
 //    must still produce the same bytes; (2) at the moment element w is
 //    swept, w's component is the singleton {w} (every edge of w
@@ -69,7 +69,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "common/parallel.h"
@@ -92,34 +91,18 @@ inline uint32_t Find(uint32_t* uf, uint32_t x) {
 // The single sort both algorithms hinge on: node ids by (value
 // descending, id ascending) — the superlevel sweep order. Fills *order
 // with the sorted ids and *rank with its inverse; comparing ranks is the
-// total order used by every sweep (rank 0 is the global maximum).
-inline void SortSweepOrder(const std::vector<double>& values,
-                           std::vector<uint32_t>* order,
-                           std::vector<uint32_t>* rank) {
-  const uint32_t n = static_cast<uint32_t>(values.size());
-  order->resize(n);
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(),
-            [&values](uint32_t a, uint32_t b) {
-              const double fa = values[a], fb = values[b];
-              return fa > fb || (fa == fb && a < b);
-            });
-  rank->resize(n);
-  for (uint32_t i = 0; i < n; ++i) (*rank)[(*order)[i]] = i;
-}
+// total order used by every sweep (rank 0 is the global maximum). One
+// lane, or fewer than 4096 elements, is a plain std::sort; wider runs
+// sort per-lane chunks and merge them in co-rank-split rounds on the
+// pool. The comparator is a strict total order, so the sorted sequence
+// is UNIQUE — the output arrays are byte-identical for every thread
+// count and every chunking.
+void SortSweepOrder(const std::vector<double>& values,
+                    std::vector<uint32_t>* order, std::vector<uint32_t>* rank,
+                    const ParallelOptions& options = {1, 0});
 
-// SortSweepOrder, parallelized: chunk sorts followed by co-rank-split
-// merge rounds on the pool. The comparator is a strict total order, so
-// the sorted sequence is UNIQUE — the output arrays are byte-identical
-// to SortSweepOrder's for every thread count and every chunking. Falls
-// back to the sequential sort when the effective width is 1.
-void ParallelSortSweepOrder(const std::vector<double>& values,
-                            std::vector<uint32_t>* order,
-                            std::vector<uint32_t>* rank,
-                            const ParallelOptions& options);
-
-// Rank-space chunk boundaries for the phase-A local sweeps of
-// BuildVertexScalarTreeParallel: min(max_chunks, max(1, n / min_chunk))
+// Rank-space chunk boundaries for the phase-A local sweeps of the
+// multi-lane BuildVertexScalarTree: min(max_chunks, max(1, n / min_chunk))
 // nearly equal ranges as a bounds array of size C+1. The chunking choice
 // affects only load balance, never the result (see the header comment);
 // tests shrink min_chunk to force adversarial boundaries.

@@ -97,7 +97,7 @@ uint64_t AllocationsDuringParallelBuild(uint32_t n, uint32_t threads) {
   // per-chunk scratch arrays and differ only in array lengths.
   const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   const ScalarTree tree =
-      BuildVertexScalarTreeParallel(g, field, {threads, /*grain=*/64});
+      BuildVertexScalarTree(g, field, {threads, /*grain=*/64});
   const SuperTree super(tree);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_GT(super.NumNodes(), 0u);

@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "gen/generators.h"
+#include "graph/edge_index.h"
 #include "graph/graph_algos.h"
 #include "graph/graph_builder.h"
 #include "metrics/ktruss.h"
@@ -225,22 +226,6 @@ TEST(EdgeScalarTreeTest, MatchesBruteForceOracleOnThreeGraphFamilies) {
     const Graph collab = CollaborationNetwork(options, &rng);
     ExpectMatchesOracle(collab, RandomEdgeField(collab, seed * 19, 6));
   }
-}
-
-TEST(EdgeScalarTreeTest, PrebuiltIndexOverloadMatchesConvenienceOverload) {
-  // The convenience overload gathers endpoints with a light CSR pass;
-  // the amortized overload reads them off a prebuilt EdgeIndex. Same
-  // sweep, identical trees.
-  Rng rng(9);
-  const Graph g = ErdosRenyi(300, 0.03, &rng);
-  const EdgeScalarField field = RandomEdgeField(g, 41, 12);
-  const ScalarTree direct = BuildEdgeScalarTree(g, field);
-  const EdgeIndex index(g);
-  const ScalarTree amortized = BuildEdgeScalarTree(g, index, field);
-  ASSERT_EQ(direct.NumNodes(), amortized.NumNodes());
-  EXPECT_EQ(direct.NumRoots(), amortized.NumRoots());
-  for (uint32_t e = 0; e < direct.NumNodes(); ++e)
-    EXPECT_EQ(direct.Parent(e), amortized.Parent(e));
 }
 
 TEST(EdgeScalarTreeTest, NaiveDualGraphBaselineProducesIdenticalTrees) {

@@ -6,12 +6,15 @@
 //
 //  * pool primitives — every index visited exactly once, lane ids dense,
 //    fixed-order reduction;
-//  * parallel tree builds — byte-identical TreeArtifact serialization vs
-//    the sequential builds for thread counts {1, 2, 4, 7} on the oracle
-//    graph families, including adversarial chunkings (ties pinned at
-//    chunk edges, single-chunk, more requested chunks than elements);
-//  * parallel metrics / layout / raster — exactly equal to their
-//    sequential counterparts for every width.
+//  * tree builds — byte-identical TreeArtifact serialization at thread
+//    counts {1, 2, 4, 7} vs the default (one-lane) call, whose vertex
+//    build is the plain sweep the chunked sweep must reproduce, on the
+//    oracle graph families, including adversarial chunkings (ties pinned
+//    at chunk edges, single-chunk, more requested chunks than elements);
+//  * metrics / layout / raster — exactly equal to the default call (and
+//    PageRank to the push-form oracle below) for every width;
+//  * the default options run inline: called from inside a pool region
+//    they never re-enter the pool.
 //
 // Everything here runs under the CI TSan leg with GRAPHSCAPE_THREADS=4,
 // which is what actually exercises the pool's publication/completion
@@ -22,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -119,7 +123,8 @@ TEST(EffectiveLanesTest, ClampsToBlocksAndCeiling) {
 
 TEST(ParallelSortTest, MatchesSequentialSortSweepOrder) {
   // Above the parallel-sort threshold, with heavy ties to stress the
-  // id tie-break through the co-rank merges.
+  // id tie-break through the co-rank merges. The default options are
+  // the one-lane std::sort every width must reproduce.
   constexpr uint32_t kCount = 40000;
   Rng rng(123);
   std::vector<double> values(kCount);
@@ -128,7 +133,7 @@ TEST(ParallelSortTest, MatchesSequentialSortSweepOrder) {
   tree_core::SortSweepOrder(values, &seq_order, &seq_rank);
   for (const uint32_t width : kWidths) {
     std::vector<uint32_t> order, rank;
-    tree_core::ParallelSortSweepOrder(values, &order, &rank, {width, 0});
+    tree_core::SortSweepOrder(values, &order, &rank, {width, 0});
     EXPECT_EQ(order, seq_order) << "width " << width;
     EXPECT_EQ(rank, seq_rank) << "width " << width;
   }
@@ -199,9 +204,10 @@ std::string ArtifactBytes(const ScalarTree& tree, const std::string& name,
   return bytes.ok() ? bytes.value() : std::string();
 }
 
-// Asserts BuildVertexScalarTreeParallel == BuildVertexScalarTree at the
-// TreeArtifact byte level for all pinned widths, plus raw parent/order/
-// root equality (sharper failure messages than a byte diff).
+// Asserts BuildVertexScalarTree at every pinned width == the default
+// call (the plain sweep) at the TreeArtifact byte level, plus raw
+// parent/order/root equality (sharper failure messages than a byte
+// diff).
 void ExpectVertexTreeIdentical(const Graph& g,
                                const std::vector<double>& values,
                                uint64_t grain) {
@@ -209,8 +215,7 @@ void ExpectVertexTreeIdentical(const Graph& g,
   const ScalarTree seq = BuildVertexScalarTree(g, field);
   const std::string seq_bytes = ArtifactBytes(seq, "f", values);
   for (const uint32_t width : kWidths) {
-    const ScalarTree par =
-        BuildVertexScalarTreeParallel(g, field, {width, grain});
+    const ScalarTree par = BuildVertexScalarTree(g, field, {width, grain});
     EXPECT_EQ(par.Parents(), seq.Parents()) << "width " << width;
     EXPECT_EQ(par.SweepOrder(), seq.SweepOrder()) << "width " << width;
     EXPECT_EQ(par.NumRoots(), seq.NumRoots()) << "width " << width;
@@ -226,8 +231,7 @@ void ExpectEdgeTreeIdentical(const Graph& g,
   const ScalarTree seq = BuildEdgeScalarTree(g, field);
   const std::string seq_bytes = ArtifactBytes(seq, "f", values);
   for (const uint32_t width : kWidths) {
-    const ScalarTree par =
-        BuildEdgeScalarTreeParallel(g, field, {width, grain});
+    const ScalarTree par = BuildEdgeScalarTree(g, field, {width, grain});
     EXPECT_EQ(par.Parents(), seq.Parents()) << "width " << width;
     EXPECT_EQ(par.SweepOrder(), seq.SweepOrder()) << "width " << width;
     EXPECT_EQ(par.NumRoots(), seq.NumRoots()) << "width " << width;
@@ -340,12 +344,11 @@ TEST(ParallelMetricsTest, TriangleCountsMatchExactly) {
   const std::vector<uint32_t> seq_counts = VertexTriangleCounts(g);
   ASSERT_GT(seq_total, 0u);
   for (const uint32_t width : kWidths) {
-    EXPECT_EQ(CountTrianglesParallel(g, {width, 0}), seq_total)
-        << "width " << width;
-    EXPECT_EQ(VertexTriangleCountsParallel(g, {width, 0}), seq_counts)
+    EXPECT_EQ(CountTriangles(g, {width, 0}), seq_total) << "width " << width;
+    EXPECT_EQ(VertexTriangleCounts(g, {width, 0}), seq_counts)
         << "width " << width;
     // Tiny grain: many more blocks than lanes, ragged boundaries.
-    EXPECT_EQ(VertexTriangleCountsParallel(g, {width, 7}), seq_counts)
+    EXPECT_EQ(VertexTriangleCounts(g, {width, 7}), seq_counts)
         << "width " << width;
   }
 }
@@ -355,23 +358,57 @@ TEST(ParallelMetricsTest, ClusteringBitIdentical) {
   const std::vector<double> seq_cc = LocalClusteringCoefficients(g);
   const double seq_avg = AverageClusteringCoefficient(g);
   for (const uint32_t width : kWidths) {
-    EXPECT_EQ(LocalClusteringCoefficientsParallel(g, {width, 0}), seq_cc)
+    EXPECT_EQ(LocalClusteringCoefficients(g, {width, 0}), seq_cc)
         << "width " << width;
-    EXPECT_EQ(AverageClusteringCoefficientParallel(g, {width, 0}), seq_avg)
+    EXPECT_EQ(AverageClusteringCoefficient(g, {width, 0}), seq_avg)
         << "width " << width;
   }
+}
+
+// The textbook push form of PageRank: every v scatters
+// `damping * rank[v] / deg(v)` to its neighbors, v ascending. It is a
+// different loop from the library's pull form, and the oracle every
+// width of it must match bit for bit.
+std::vector<double> PushPageRank(const Graph& g,
+                                 const PageRankOptions& options) {
+  const uint32_t n = g.NumVertices();
+  if (n == 0) return {};
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> rank(n, inv_n);
+  std::vector<double> next(n, 0.0);
+  for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
+    double dangling = 0.0;
+    for (uint32_t v = 0; v < n; ++v) {
+      if (g.Degree(v) == 0) dangling += rank[v];
+    }
+    const double base = (1.0 - options.damping) * inv_n +
+                        options.damping * dangling * inv_n;
+    for (uint32_t v = 0; v < n; ++v) next[v] = base;
+    for (uint32_t v = 0; v < n; ++v) {
+      const uint32_t d = g.Degree(v);
+      if (d == 0) continue;
+      const double share = options.damping * rank[v] / d;
+      for (const VertexId u : g.Neighbors(v)) next[u] += share;
+    }
+    double delta = 0.0;
+    for (uint32_t v = 0; v < n; ++v) delta += std::abs(next[v] - rank[v]);
+    rank.swap(next);
+    if (delta < options.tolerance) break;
+  }
+  return rank;
 }
 
 TEST(ParallelMetricsTest, PageRankBitIdentical) {
   // Includes isolated vertices so the dangling-mass path is exercised.
   Rng rng(19);
   const Graph g = ErdosRenyi(3000, 0.002, &rng);
-  const std::vector<double> seq = PageRank(g);
+  const std::vector<double> oracle = PushPageRank(g, {});
+  ASSERT_EQ(PageRank(g), oracle);
   for (const uint32_t width : kWidths) {
-    const std::vector<double> par = PageRankParallel(g, {}, {width, 0});
-    ASSERT_EQ(par.size(), seq.size());
-    for (size_t v = 0; v < seq.size(); ++v) {
-      ASSERT_EQ(par[v], seq[v]) << "v " << v << " width " << width;
+    const std::vector<double> par = PageRank(g, {}, {width, 0});
+    ASSERT_EQ(par.size(), oracle.size());
+    for (size_t v = 0; v < oracle.size(); ++v) {
+      ASSERT_EQ(par[v], oracle[v]) << "v " << v << " width " << width;
     }
   }
 }
@@ -380,7 +417,69 @@ TEST(ParallelMetricsTest, TrussNumbersMatchExactly) {
   const Graph g = Collab(1500);
   const std::vector<uint32_t> seq = TrussNumbers(g);
   for (const uint32_t width : kWidths) {
-    EXPECT_EQ(TrussNumbersParallel(g, {width, 0}), seq) << "width " << width;
+    EXPECT_EQ(TrussNumbers(g, {width, 0}), seq) << "width " << width;
+  }
+}
+
+// -------------------------------------------- default options inline --
+
+// The outputs of every entry point that takes ParallelOptions, each
+// called with its default options.
+struct DefaultCallOutputs {
+  uint64_t triangles = 0;
+  std::vector<uint32_t> vertex_triangles;
+  std::vector<double> local_cc;
+  double average_cc = 0.0;
+  std::vector<double> pagerank;
+  std::vector<uint32_t> truss;
+  std::vector<VertexId> vertex_parents;
+  std::vector<VertexId> edge_parents;
+  std::vector<uint32_t> sweep_order;
+};
+
+DefaultCallOutputs CallWithDefaults(const Graph& g,
+                                    const VertexScalarField& vertex_field,
+                                    const EdgeScalarField& edge_field) {
+  DefaultCallOutputs out;
+  out.triangles = CountTriangles(g);
+  out.vertex_triangles = VertexTriangleCounts(g);
+  out.local_cc = LocalClusteringCoefficients(g);
+  out.average_cc = AverageClusteringCoefficient(g);
+  out.pagerank = PageRank(g);
+  out.truss = TrussNumbers(g);
+  out.vertex_parents = BuildVertexScalarTree(g, vertex_field).Parents();
+  out.edge_parents = BuildEdgeScalarTree(g, edge_field).Parents();
+  std::vector<uint32_t> rank;
+  tree_core::SortSweepOrder(vertex_field.Values(), &out.sweep_order, &rank);
+  return out;
+}
+
+TEST(ParallelDefaultOptionsTest, DefaultCallsRunInlineInsideARegion) {
+  // Regions are serialized on a non-recursive lock, so a default call
+  // that entered the pool from inside a region body would deadlock (and
+  // fail on the test TIMEOUT). The graph is large enough that a wider
+  // default would have real blocks to hand out: > 1024 vertices for
+  // ParallelFor, > 2 x 4096 for the vertex sweep chunks and the sort.
+  const Graph g = Collab(9000);
+  const VertexScalarField vertex_field("f", DistinctField(g.NumVertices(), 3));
+  const EdgeScalarField edge_field("f", PlateauField(g.NumEdges(), 5, 4));
+  const DefaultCallOutputs outside =
+      CallWithDefaults(g, vertex_field, edge_field);
+  ASSERT_EQ(EffectiveLanes({2, 1}, 2), 2u);
+  std::vector<DefaultCallOutputs> inside(2);
+  ParallelForBlocks(2, {2, 0}, [&](uint64_t block, uint32_t) {
+    inside[block] = CallWithDefaults(g, vertex_field, edge_field);
+  });
+  for (const DefaultCallOutputs& got : inside) {
+    EXPECT_EQ(got.triangles, outside.triangles);
+    EXPECT_EQ(got.vertex_triangles, outside.vertex_triangles);
+    EXPECT_EQ(got.local_cc, outside.local_cc);
+    EXPECT_EQ(got.average_cc, outside.average_cc);
+    EXPECT_EQ(got.pagerank, outside.pagerank);
+    EXPECT_EQ(got.truss, outside.truss);
+    EXPECT_EQ(got.vertex_parents, outside.vertex_parents);
+    EXPECT_EQ(got.edge_parents, outside.edge_parents);
+    EXPECT_EQ(got.sweep_order, outside.sweep_order);
   }
 }
 
@@ -497,8 +596,7 @@ TEST(ParallelVertexTreeTest, RandomizedStress) {
     const VertexScalarField field("f", values);
     const ScalarTree seq = BuildVertexScalarTree(g, field);
     const uint32_t width = kWidths[meta.UniformInt(4)];
-    const ScalarTree par =
-        BuildVertexScalarTreeParallel(g, field, {width, grain});
+    const ScalarTree par = BuildVertexScalarTree(g, field, {width, grain});
     ASSERT_EQ(par.Parents(), seq.Parents())
         << "trial " << trial << " n " << n << " width " << width << " grain "
         << grain;
