@@ -14,8 +14,8 @@
 //   BM_IntersectCount3/<len>                 3-way count (nucleus support).
 //   BM_CountTriangles_{Scalar,Simd}          before/after rows for the
 //       end-to-end triangle pipeline on the collaboration graph.
-//   BM_TrussSupport_{Scalar,Simd}            per-edge support counting
-//       (the K-Truss front half) before/after.
+//   BM_TrussSupport_{Scalar,Simd}            one count per edge over
+//       full CSR runs (real endpoint skew mix) before/after.
 //
 // Scalar rows force Kernel::kScalar via SetKernelForTesting, so one
 // binary produces both sides of every comparison on the same machine in
@@ -197,7 +197,10 @@ void BM_CountTriangles_Simd(benchmark::State& state) {
 }
 BENCHMARK(BM_CountTriangles_Simd);
 
-// The K-Truss front half: one count-only intersection per edge.
+// One count-only intersection per edge over the full CSR runs: a
+// kernel-throughput row with the skew mix of real edge endpoints.
+// (TrussNumbers itself no longer counts support this way; it lists each
+// triangle once over the forward adjacency.)
 void TrussSupportWithKernel(benchmark::State& state, Kernel kernel) {
   const Graph g = CollabGraph(1 << 15);
   const EdgeIndex index(g);

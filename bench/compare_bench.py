@@ -79,6 +79,10 @@ TRACKED_BENCHMARKS = [
     "BM_BuildEdgeScalarTreeParallel/threads:4",
     "BM_TriangleCountParallel/threads:4",
     "BM_PageRankParallel/threads:4",
+    # K-Truss (docs/PARALLELISM.md): the one-lane row and the 4-lane row
+    # of the same entry point, gated like the pairs above.
+    "BM_TrussNumbers/32768",
+    "BM_TrussNumbersParallel/threads:4",
     "BM_RasterizeParallel/threads:4",
     "BM_SpringLayoutParallel/threads:4",
     # Query service (docs/SERVICE.md): mixed-workload throughput over the
@@ -121,6 +125,8 @@ SCALING_CHECKS = [
      "BM_TriangleCountParallel/threads:4", 4, None),
     ("BM_PageRankParallel/threads:1",
      "BM_PageRankParallel/threads:4", 4, None),
+    ("BM_TrussNumbersParallel/threads:1",
+     "BM_TrussNumbersParallel/threads:4", 4, None),
     ("BM_RasterizeParallel/threads:1",
      "BM_RasterizeParallel/threads:4", 4, None),
     ("BM_SpringLayoutParallel/threads:1",

@@ -19,12 +19,15 @@
 // EdgeList order, so a metric vector computed by edge peeling
 // (TrussNumbers) indexes an EdgeScalarField with no permutation.
 //
-// Construction resolves the undirected-twin mapping once: one forward
-// pass mints ids on the u < v slots, and each reverse slot finds its twin
-// with a binary search in the already-minted run. After that every
-// adjacency slot answers "which edge am I?" in O(1), which is what lets
-// the naive dual-graph construction and the per-slot sweeps stay free of
-// hashing.
+// Construction resolves the undirected-twin mapping once, in two passes.
+// The first, sequential, mints ids on the u < v slots in CSR order (the
+// suffix of each sorted run). The second runs on the pool: each reverse
+// slot (the prefix of u's run, v < u) finds its twin with a binary search
+// in v's run and copies the id minted there. The second pass only reads
+// ids the first one wrote, so the mapping is the same for every thread
+// count. After that every adjacency slot answers "which edge am I?" in
+// O(1), which is what lets the K-Truss peel, the naive dual-graph
+// construction and the per-slot sweeps stay free of hashing and search.
 
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
@@ -33,33 +36,37 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace graphscape {
 
 class EdgeIndex {
  public:
-  explicit EdgeIndex(const Graph& g) : graph_(&g) {
+  explicit EdgeIndex(const Graph& g, const ParallelOptions& options = {1, 0})
+      : graph_(&g) {
     const uint32_t n = g.NumVertices();
     const std::vector<uint32_t>& offsets = g.Offsets();
     const std::vector<VertexId>& adj = g.Adjacency();
     slot_eid_.resize(adj.size());
     uint32_t next = 0;
     for (VertexId u = 0; u < n; ++u) {
-      for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
-        const VertexId v = adj[s];
-        if (u < v) {
-          slot_eid_[s] = next;
-          ++next;
-        } else {
-          // v < u, so v's run already minted the id; find u's slot in it.
-          const VertexId* lo = adj.data() + offsets[v];
-          const VertexId* hi = adj.data() + offsets[v + 1];
-          const VertexId* it = std::lower_bound(lo, hi, u);
-          slot_eid_[s] = slot_eid_[static_cast<uint32_t>(it - adj.data())];
-        }
+      for (uint32_t s = FirstForwardSlot(u); s < offsets[u + 1]; ++s) {
+        slot_eid_[s] = next++;
       }
     }
+    ParallelFor(0, n, options, [&](uint64_t i) {
+      const VertexId u = static_cast<VertexId>(i);
+      const uint32_t end = FirstForwardSlot(u);
+      for (uint32_t s = offsets[u]; s < end; ++s) {
+        // v < u, so v's run minted the id; find u's slot in it.
+        const VertexId v = adj[s];
+        const VertexId* lo = adj.data() + offsets[v];
+        const VertexId* hi = adj.data() + offsets[v + 1];
+        const VertexId* it = std::lower_bound(lo, hi, u);
+        slot_eid_[s] = slot_eid_[static_cast<uint32_t>(it - adj.data())];
+      }
+    });
   }
 
   uint32_t NumEdges() const {
@@ -88,6 +95,14 @@ class EdgeIndex {
   }
 
  private:
+  // First slot of u's run holding a neighbor greater than u.
+  uint32_t FirstForwardSlot(VertexId u) const {
+    const std::vector<uint32_t>& offsets = graph_->Offsets();
+    const VertexId* base = graph_->Adjacency().data();
+    return static_cast<uint32_t>(
+        std::upper_bound(base + offsets[u], base + offsets[u + 1], u) - base);
+  }
+
   const Graph* graph_;
   std::vector<uint32_t> slot_eid_;  // 2m: CSR slot -> edge id
 };

@@ -5,13 +5,14 @@
 // loop all triangle-adjacent kernels share. The heavy lifting lives in
 // graph/intersect_simd.h (runtime-dispatched SSE2/AVX2 block kernels, a
 // galloping path for skewed run pairs, count-only variants); this header
-// keeps the graph-level API every metric calls.
+// keeps the graph-level counts plus the position-reporting merge every
+// metric calls.
 //
 // Preconditions (inherited by every path, vector or scalar): per-vertex
 // adjacency runs are sorted ascending and duplicate-free — exactly what
 // `Graph`'s CSR constructor guarantees. Determinism: every entry point
 // produces identical counts and fires callbacks on identical ascending
-// element sequences for any dispatch choice (docs/SIMD.md).
+// match sequences for any dispatch choice (docs/SIMD.md).
 //
 // Who calls what (keep this current when rewiring a metric):
 //
@@ -20,18 +21,23 @@
 //       forward (degree-oriented) runs; VertexTriangleCounts (and so
 //       LocalClusteringCoefficients) via intersect::Into into a reused
 //       per-lane scratch run;
-//     * metrics/ktruss.cc     — TrussNumbers' CountSupport:
-//       CountCommonNeighbors(u, v);
 //     * metrics/clustering.cc — TrianglesThrough (sampled cc):
 //       CountCommonNeighbors(v, u);
 //     * metrics/nucleus.cc    — per-triangle 4-clique support:
 //       CountCommonNeighbors(a, b, c).
 //
-//   callback (needs the elements, not just the tally):
-//     * metrics/ktruss.cc  — the peel demotes both side edges of every
-//       surviving triangle: ForEachCommonNeighbor(u, v, ...);
-//     * metrics/nucleus.cc — triangle enumeration (w > v filter) and the
-//       3-way peel: ForEachCommonNeighbor(a, b, c, ...).
+//   positions (needs per-slot data parallel to the runs):
+//     * metrics/ktruss.cc  — support counting lists each triangle once
+//       over forward runs (run pairs intersect::Count finds empty are
+//       skipped) and reads its three edge ids at the matched
+//       positions; the peel reads both side edges of every triangle from
+//       EdgeIndex::SlotEdgeIds() at the matched CSR positions:
+//       ForEachCommonPosition;
+//     * metrics/nucleus.cc — triangle enumeration: ForEachCommonPosition.
+//
+//   callback (needs the elements):
+//     * metrics/nucleus.cc — the 4-clique peel:
+//       ForEachCommonNeighbor(a, b, c, ...).
 
 #ifndef GRAPHSCAPE_GRAPH_INTERSECT_H_
 #define GRAPHSCAPE_GRAPH_INTERSECT_H_
@@ -43,50 +49,64 @@
 
 namespace graphscape {
 
-/// Calls on_vertex(w) for every w adjacent to both u and v, ascending.
-/// Thin wrapper over the intersection layer: skewed run pairs gallop
-/// (exponential search through the longer run), balanced pairs take the
-/// scalar merge — the callback sequence is identical either way. Callers
-/// that only count should use CountCommonNeighbors instead; it reaches
-/// the vectorized count kernels.
-template <typename OnVertex>
-inline void ForEachCommonNeighbor(const Graph& g, VertexId u, VertexId v,
-                                  OnVertex&& on_vertex) {
-  const Graph::NeighborRange ru = g.Neighbors(u);
-  const Graph::NeighborRange rv = g.Neighbors(v);
-  const VertexId* a = ru.begin();
-  const VertexId* ea = ru.end();
-  const VertexId* b = rv.begin();
-  const VertexId* eb = rv.end();
-  if (ea - a > eb - b) {
-    std::swap(a, b);
-    std::swap(ea, eb);
-  }
-  const size_t na = static_cast<size_t>(ea - a);
-  const size_t nb = static_cast<size_t>(eb - b);
+namespace intersect {
+namespace detail {
+
+// ForEachCommonPosition's body for na <= nb.
+template <typename OnMatch>
+inline void ForEachCommonPositionShortFirst(const VertexId* a, uint32_t na,
+                                            const VertexId* b, uint32_t nb,
+                                            OnMatch&& on_match) {
   if (na == 0) return;
-  if (nb >= na * intersect::kGallopSkewRatio) {
+  if (static_cast<size_t>(nb) >= static_cast<size_t>(na) * kGallopSkewRatio) {
     // Hub-vs-leaf shape: walk the short run, gallop through the long one.
-    for (; a != ea; ++a) {
-      b = intersect::detail::GallopSeek(b, eb, *a);
-      if (b == eb) return;
-      if (*b == *a) {
-        on_vertex(*a);
-        ++b;
+    const VertexId* pb = b;
+    const VertexId* eb = b + nb;
+    for (uint32_t i = 0; i < na; ++i) {
+      pb = GallopSeek(pb, eb, a[i]);
+      if (pb == eb) return;
+      if (*pb == a[i]) {
+        on_match(i, static_cast<uint32_t>(pb - b));
+        ++pb;
       }
     }
     return;
   }
-  while (a != ea && b != eb) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
+  uint32_t i = 0, j = 0;
+  while (i < na && j < nb) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
     } else {
-      on_vertex(*a);
-      ++a;
-      ++b;
+      on_match(i, j);
+      ++i;
+      ++j;
     }
+  }
+}
+
+}  // namespace detail
+}  // namespace intersect
+
+/// Calls on_match(i, j) for every common element a[i] == b[j] of two
+/// sorted duplicate-free runs, in ascending element order. Reporting the
+/// POSITIONS, not the element, is what lets a caller read per-slot data
+/// parallel to the runs (edge ids) with no search. Skewed run pairs
+/// gallop (exponential search through the longer run), balanced pairs
+/// take the scalar merge — the match sequence is identical either way.
+/// Callers that only count should use CountCommonNeighbors or
+/// intersect::Count instead; they reach the vectorized count kernels.
+template <typename OnMatch>
+inline void ForEachCommonPosition(const VertexId* a, uint32_t na,
+                                  const VertexId* b, uint32_t nb,
+                                  OnMatch&& on_match) {
+  if (na <= nb) {
+    intersect::detail::ForEachCommonPositionShortFirst(a, na, b, nb,
+                                                       on_match);
+  } else {
+    intersect::detail::ForEachCommonPositionShortFirst(
+        b, nb, a, na, [&](uint32_t j, uint32_t i) { on_match(i, j); });
   }
 }
 

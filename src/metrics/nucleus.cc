@@ -36,15 +36,19 @@ NucleusDecomposition Nucleus34(const Graph& g) {
   // Enumerate and index all triangles (ascending triples).
   std::unordered_map<uint64_t, uint32_t> id_of;
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (const VertexId v : g.Neighbors(u)) {
+    const Graph::NeighborRange ru = g.Neighbors(u);
+    for (const VertexId v : ru) {
       if (v <= u) continue;
-      ForEachCommonNeighbor(g, u, v, [&](VertexId w) {
-        if (w > v) {
-          const uint32_t id = static_cast<uint32_t>(result.triangles.size());
-          result.triangles.push_back({u, v, w});
-          id_of.emplace(PackTriple(u, v, w), id);
-        }
-      });
+      const Graph::NeighborRange rv = g.Neighbors(v);
+      ForEachCommonPosition(ru.begin(), ru.size(), rv.begin(), rv.size(),
+                            [&](uint32_t i, uint32_t) {
+                              const VertexId w = ru.begin()[i];
+                              if (w <= v) return;
+                              const uint32_t id = static_cast<uint32_t>(
+                                  result.triangles.size());
+                              result.triangles.push_back({u, v, w});
+                              id_of.emplace(PackTriple(u, v, w), id);
+                            });
     }
   }
 
@@ -73,6 +77,9 @@ NucleusDecomposition Nucleus34(const Graph& g) {
     const uint32_t level = support[i];
     result.nucleus_numbers[i] = level;
     peeled[i] = 1;
+    // As in the truss peel: support never falls below the live 4-cliques
+    // through the triangle, so at 0 there is nothing left to demote.
+    if (level == 0) continue;
     const auto& tri = result.triangles[i];
     ForEachCommonNeighbor(g, tri[0], tri[1], tri[2], [&](VertexId d) {
       // 4-clique {tri, d}: demote its other three triangles iff all are

@@ -6,57 +6,11 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/forward_adjacency.h"
 #include "graph/intersect.h"
 
 namespace graphscape {
 namespace {
-
-// Degree order with id tie-break; orienting edges low -> high makes the
-// out-degree of every vertex O(sqrt(m)) on any graph.
-inline bool Before(const std::vector<uint32_t>& deg, VertexId a, VertexId b) {
-  return deg[a] < deg[b] || (deg[a] == deg[b] && a < b);
-}
-
-// The degree-oriented DAG in CSR form: fwd run of u = neighbors v with u
-// Before v, still sorted ascending by id (filtering a sorted CSR run
-// keeps its order). Every triangle {u, v, w} has exactly one source —
-// its degree-least vertex — and appears exactly once as w ∈ fwd(u) ∩
-// fwd(v) for v ∈ fwd(u). The runs being sorted and duplicate-free is
-// what lets the intersections go through the SIMD/galloping kernels
-// (graph/intersect_simd.h).
-struct ForwardAdjacency {
-  std::vector<uint32_t> offsets;  // n + 1
-  std::vector<VertexId> targets;  // m
-  uint32_t max_out_degree = 0;    // scratch sizing for Into() callers
-
-  const VertexId* Run(VertexId u) const { return targets.data() + offsets[u]; }
-  uint32_t RunLength(VertexId u) const {
-    return offsets[u + 1] - offsets[u];
-  }
-};
-
-ForwardAdjacency BuildForward(const Graph& g,
-                              const std::vector<uint32_t>& deg) {
-  const uint32_t n = g.NumVertices();
-  ForwardAdjacency fwd;
-  fwd.offsets.assign(n + 1, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    uint32_t out = 0;
-    for (const VertexId v : g.Neighbors(u)) {
-      if (Before(deg, u, v)) ++out;
-    }
-    fwd.offsets[u + 1] = fwd.offsets[u] + out;
-    fwd.max_out_degree = std::max(fwd.max_out_degree, out);
-  }
-  fwd.targets.resize(fwd.offsets[n]);
-  for (VertexId u = 0; u < n; ++u) {
-    uint32_t next = fwd.offsets[u];
-    for (const VertexId v : g.Neighbors(u)) {
-      if (Before(deg, u, v)) fwd.targets[next++] = v;
-    }
-  }
-  return fwd;
-}
 
 // Count-only per-pivot tally: triangles sourced at u. The pool
 // partitions work by pivot; integer partial sums are
@@ -90,19 +44,11 @@ inline void VertexTrianglesFromPivot(const ForwardAdjacency& fwd, VertexId u,
   }
 }
 
-std::vector<uint32_t> Degrees(const Graph& g, const ParallelOptions& options) {
-  std::vector<uint32_t> deg(g.NumVertices());
-  ParallelFor(0, deg.size(), options,
-              [&](uint64_t v) { deg[v] = g.Degree(static_cast<VertexId>(v)); });
-  return deg;
-}
-
 }  // namespace
 
 uint64_t CountTriangles(const Graph& g, const ParallelOptions& options) {
   const uint32_t n = g.NumVertices();
-  const std::vector<uint32_t> deg = Degrees(g, options);
-  const ForwardAdjacency fwd = BuildForward(g, deg);
+  const ForwardAdjacency fwd = BuildForward(g, options);
   // Fixed-order sum of per-block integer partials: exact, so the
   // blocking (and therefore the thread count) cannot show through.
   return ParallelReduce<uint64_t>(
@@ -122,8 +68,7 @@ std::vector<uint32_t> VertexTriangleCounts(const Graph& g,
   // id the body sees has an arena.
   const uint32_t lanes =
       std::max(1u, EffectiveLanes({options.num_threads, 1}, num_blocks));
-  const std::vector<uint32_t> deg = Degrees(g, options);
-  const ForwardAdjacency fwd = BuildForward(g, deg);
+  const ForwardAdjacency fwd = BuildForward(g, options);
 
   // Per-lane count arenas plus one Into() scratch run per lane, all
   // allocated up front on the calling thread; a pivot's tallies go to

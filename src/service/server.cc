@@ -109,16 +109,24 @@ Status ServiceServer::Start() {
 
 void ServiceServer::Stop() {
   if (!running_.exchange(false)) return;
-  // Closing the listener unblocks accept(); the worker wake-up drains
-  // the queue. Order matters: no new fds can arrive once the listener
-  // is gone, so the drain below is complete.
+  // Shutting the listener down unblocks accept(). The fd itself is
+  // closed and reset only after the accept thread is joined, since that
+  // thread reads it until it exits. Order matters: no new fds can arrive
+  // once the accept thread is gone, so the worker wake-up then drains a
+  // complete queue.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  {
+    // running_ changed outside queue_mu_: passing through the lock makes
+    // every worker either see it or already be waiting, so the wake-up
+    // below cannot be lost.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+  }
   queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -133,7 +141,7 @@ void ServiceServer::AcceptLoop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // EBADF/EINVAL after Stop() closed the listener: clean exit.
+      // EINVAL after Stop() shut the listener down: clean exit.
       return;
     }
     SetIoTimeout(fd, options_.io_timeout_seconds);

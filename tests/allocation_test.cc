@@ -184,8 +184,8 @@ TEST(AllocationDisciplineTest, MemberIndexBuildAllocatesConstantArrays) {
 
 TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
   // The intersection layer (graph/intersect_simd.h) is allocation-free by
-  // contract: zero heap allocations across Count/Count3/Into and the
-  // ForEachCommonNeighbor wrappers, for every dispatchable kernel. Count3
+  // contract: zero heap allocations across Count/Count3/Into and
+  // ForEachCommonPosition, for every dispatchable kernel. Count3
   // in particular must keep its pair-intersection scratch on the stack.
   Rng rng(42);
   const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
@@ -207,7 +207,9 @@ TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
         const Graph::NeighborRange rv = g.Neighbors(v);
         sink += intersect::Into(ru.begin(), ru.size(), rv.begin(), rv.size(),
                                 scratch.data());
-        ForEachCommonNeighbor(g, u, v, [&](VertexId w) { sink += w; });
+        ForEachCommonPosition(
+            ru.begin(), ru.size(), rv.begin(), rv.size(),
+            [&](uint32_t i, uint32_t j) { sink += ru.begin()[i] + j; });
       }
     }
     const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);

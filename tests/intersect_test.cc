@@ -255,13 +255,47 @@ TEST(IntersectGraphApiTest, CallbackWrapperMatchesCountOnEveryPair) {
     ScopedKernel scoped(kernel);
     for (VertexId u = 0; u < g.NumVertices(); u += 3) {
       for (VertexId v = u + 1; v < g.NumVertices(); v += 97) {
+        const Graph::NeighborRange ru = g.Neighbors(u);
+        const Graph::NeighborRange rv = g.Neighbors(v);
         std::vector<VertexId> via_callback;
-        ForEachCommonNeighbor(g, u, v, [&](VertexId w) {
-          via_callback.push_back(w);
-        });
+        ForEachCommonPosition(ru.begin(), ru.size(), rv.begin(), rv.size(),
+                              [&](uint32_t i, uint32_t j) {
+                                EXPECT_EQ(ru.begin()[i], rv.begin()[j]);
+                                via_callback.push_back(ru.begin()[i]);
+                              });
+        const std::vector<uint32_t> oracle =
+            OracleIntersect(std::vector<uint32_t>(ru.begin(), ru.end()),
+                            std::vector<uint32_t>(rv.begin(), rv.end()));
         EXPECT_TRUE(std::is_sorted(via_callback.begin(), via_callback.end()));
+        EXPECT_EQ(via_callback, oracle);
         EXPECT_EQ(via_callback.size(), CountCommonNeighbors(g, u, v));
       }
+    }
+  }
+}
+
+TEST(IntersectGraphApiTest, PositionsMatchOracleOnSkewedRuns) {
+  // Short-vs-long run pairs past kGallopSkewRatio, in both argument
+  // orders: the galloping path must report the same (i, j) pairs the
+  // merge does, with i indexing the FIRST argument either way.
+  Rng rng(13);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::vector<uint32_t> short_run = MakeRun(12, 5000, &rng);
+    const std::vector<uint32_t> long_run = MakeRun(2000, 5000, &rng);
+    const std::vector<uint32_t> oracle = OracleIntersect(short_run, long_run);
+    for (const bool swapped : {false, true}) {
+      const std::vector<uint32_t>& a = swapped ? long_run : short_run;
+      const std::vector<uint32_t>& b = swapped ? short_run : long_run;
+      std::vector<uint32_t> matched;
+      ForEachCommonPosition(a.data(), static_cast<uint32_t>(a.size()),
+                            b.data(), static_cast<uint32_t>(b.size()),
+                            [&](uint32_t i, uint32_t j) {
+                              ASSERT_LT(i, a.size());
+                              ASSERT_LT(j, b.size());
+                              EXPECT_EQ(a[i], b[j]);
+                              matched.push_back(a[i]);
+                            });
+      EXPECT_EQ(matched, oracle) << "swapped " << swapped;
     }
   }
 }

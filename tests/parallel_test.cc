@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include "community/bigclam.h"
 #include "community/roles.h"
 #include "gen/generators.h"
+#include "graph/edge_index.h"
 #include "graph/graph_builder.h"
 #include "layout/spring_layout.h"
 #include "query/nn_graph.h"
@@ -421,6 +423,26 @@ TEST(ParallelMetricsTest, TrussNumbersMatchExactly) {
   }
 }
 
+TEST(ParallelEdgeIndexTest, SlotEdgeIdsEqualAndTwinConsistentAtEveryWidth) {
+  Rng rng(29);
+  const Graph g = BarabasiAlbert(5000, 4, &rng);  // > 1024: real blocks
+  const std::vector<uint32_t> seq = EdgeIndex(g).SlotEdgeIds();
+  for (const uint32_t width : kWidths) {
+    const EdgeIndex index(g, {width, 0});
+    ASSERT_EQ(index.SlotEdgeIds(), seq) << "width " << width;
+    // Both CSR slots of {u, v} carry the id whose endpoints are u and v.
+    for (VertexId u = 0; u < g.NumVertices(); ++u) {
+      const Graph::NeighborRange run = g.Neighbors(u);
+      for (uint32_t i = 0; i < run.size(); ++i) {
+        const VertexId v = run.begin()[i];
+        const uint32_t e = index.EdgeAtSlot(g.Offsets()[u] + i);
+        ASSERT_EQ(index.U(e), std::min(u, v)) << "width " << width;
+        ASSERT_EQ(index.V(e), std::max(u, v)) << "width " << width;
+      }
+    }
+  }
+}
+
 // -------------------------------------------- default options inline --
 
 // The outputs of every entry point that takes ParallelOptions, each
@@ -432,6 +454,7 @@ struct DefaultCallOutputs {
   double average_cc = 0.0;
   std::vector<double> pagerank;
   std::vector<uint32_t> truss;
+  std::vector<uint32_t> slot_edge_ids;
   std::vector<VertexId> vertex_parents;
   std::vector<VertexId> edge_parents;
   std::vector<uint32_t> sweep_order;
@@ -447,6 +470,7 @@ DefaultCallOutputs CallWithDefaults(const Graph& g,
   out.average_cc = AverageClusteringCoefficient(g);
   out.pagerank = PageRank(g);
   out.truss = TrussNumbers(g);
+  out.slot_edge_ids = EdgeIndex(g).SlotEdgeIds();
   out.vertex_parents = BuildVertexScalarTree(g, vertex_field).Parents();
   out.edge_parents = BuildEdgeScalarTree(g, edge_field).Parents();
   std::vector<uint32_t> rank;
@@ -477,6 +501,7 @@ TEST(ParallelDefaultOptionsTest, DefaultCallsRunInlineInsideARegion) {
     EXPECT_EQ(got.average_cc, outside.average_cc);
     EXPECT_EQ(got.pagerank, outside.pagerank);
     EXPECT_EQ(got.truss, outside.truss);
+    EXPECT_EQ(got.slot_edge_ids, outside.slot_edge_ids);
     EXPECT_EQ(got.vertex_parents, outside.vertex_parents);
     EXPECT_EQ(got.edge_parents, outside.edge_parents);
     EXPECT_EQ(got.sweep_order, outside.sweep_order);
