@@ -65,14 +65,26 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
   }
   const int fd = OpenRetry(path.c_str(), O_RDONLY);
   if (fd < 0) return ErrnoStatus("open", path, errno);
-  std::string bytes;
-  char buffer[1 << 16];
+  // Size the buffer once from fstat, one byte past the end so the read
+  // that sees EOF needs no growth; a file that grew meanwhile is still
+  // read to EOF, growing the buffer geometrically.
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    (void)CloseChecked(fd, path);
+    return ErrnoStatus("fstat", path, err);
+  }
+  std::string bytes(
+      S_ISREG(st.st_mode) ? static_cast<size_t>(st.st_size) + 1 : 1 << 16,
+      '\0');
+  size_t size = 0;
   for (;;) {
+    if (size == bytes.size()) bytes.resize(2 * bytes.size());
     if (failpoint::Fire("fs/read")) {
       (void)CloseChecked(fd, path);
       return failpoint::InjectedFault("fs/read");
     }
-    const ssize_t got = ::read(fd, buffer, sizeof(buffer));
+    const ssize_t got = ::read(fd, &bytes[size], bytes.size() - size);
     if (got < 0) {
       if (errno == EINTR) continue;
       const int err = errno;
@@ -80,8 +92,9 @@ StatusOr<std::string> ReadFileBytes(const std::string& path) {
       return ErrnoStatus("read", path, err);
     }
     if (got == 0) break;
-    bytes.append(buffer, static_cast<size_t>(got));
+    size += static_cast<size_t>(got);
   }
+  bytes.resize(size);
   const Status closed = CloseChecked(fd, path);
   if (!closed.ok()) return closed;
   // Corruption-injection seam: flip one bit mid-payload so checksum

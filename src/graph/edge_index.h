@@ -19,15 +19,16 @@
 // EdgeList order, so a metric vector computed by edge peeling
 // (TrussNumbers) indexes an EdgeScalarField with no permutation.
 //
-// Construction resolves the undirected-twin mapping once, in two passes.
-// The first, sequential, mints ids on the u < v slots in CSR order (the
-// suffix of each sorted run). The second runs on the pool: each reverse
-// slot (the prefix of u's run, v < u) finds its twin with a binary search
-// in v's run and copies the id minted there. The second pass only reads
-// ids the first one wrote, so the mapping is the same for every thread
-// count. After that every adjacency slot answers "which edge am I?" in
-// O(1), which is what lets the K-Truss peel, the naive dual-graph
-// construction and the per-slot sweeps stay free of hashing and search.
+// Construction resolves the undirected-twin mapping once, in one
+// sequential sweep over the CSR. For u ascending, each forward slot (the
+// suffix of u's sorted run, v > u) mints the next id, and the same id is
+// written into v's reverse prefix (v's neighbours smaller than v) at a
+// per-vertex cursor. v's smaller neighbours arrive in ascending order,
+// which is exactly their order in v's sorted run, so the cursor lands on
+// u's slot without a search. After that every adjacency slot answers
+// "which edge am I?" in O(1), which is what lets the K-Truss peel, the
+// naive dual-graph construction and the per-slot sweeps stay free of
+// hashing and search.
 
 #ifndef GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
 #define GRAPHSCAPE_GRAPH_EDGE_INDEX_H_
@@ -36,37 +37,28 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/parallel.h"
 #include "graph/graph.h"
 
 namespace graphscape {
 
 class EdgeIndex {
  public:
-  explicit EdgeIndex(const Graph& g, const ParallelOptions& options = {1, 0})
-      : graph_(&g) {
+  explicit EdgeIndex(const Graph& g) : graph_(&g) {
     const uint32_t n = g.NumVertices();
     const std::vector<uint32_t>& offsets = g.Offsets();
     const std::vector<VertexId>& adj = g.Adjacency();
     slot_eid_.resize(adj.size());
+    // cursor[v]: how many of v's reverse-prefix slots are filled so far.
+    std::vector<uint32_t> cursor(n, 0);
     uint32_t next = 0;
     for (VertexId u = 0; u < n; ++u) {
       for (uint32_t s = FirstForwardSlot(u); s < offsets[u + 1]; ++s) {
-        slot_eid_[s] = next++;
+        const VertexId v = adj[s];
+        slot_eid_[s] = next;
+        slot_eid_[offsets[v] + cursor[v]++] = next;
+        ++next;
       }
     }
-    ParallelFor(0, n, options, [&](uint64_t i) {
-      const VertexId u = static_cast<VertexId>(i);
-      const uint32_t end = FirstForwardSlot(u);
-      for (uint32_t s = offsets[u]; s < end; ++s) {
-        // v < u, so v's run minted the id; find u's slot in it.
-        const VertexId v = adj[s];
-        const VertexId* lo = adj.data() + offsets[v];
-        const VertexId* hi = adj.data() + offsets[v + 1];
-        const VertexId* it = std::lower_bound(lo, hi, u);
-        slot_eid_[s] = slot_eid_[static_cast<uint32_t>(it - adj.data())];
-      }
-    });
   }
 
   uint32_t NumEdges() const {

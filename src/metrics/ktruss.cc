@@ -111,7 +111,7 @@ std::vector<uint32_t> PeelBySupport(const Graph& g, const EdgeIndex& index,
 
 std::vector<uint32_t> TrussNumbers(const Graph& g,
                                    const ParallelOptions& options) {
-  const EdgeIndex index(g, options);
+  const EdgeIndex index(g);
   std::vector<uint32_t> support = CountSupport(g, index, options);
   return PeelBySupport(g, index, &support);
 }

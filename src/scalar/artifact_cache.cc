@@ -137,7 +137,7 @@ StatusOr<ArtifactCache::ManifestEntry> ArtifactCache::ValidateEntryFile(
   }
   ManifestEntry entry;
   entry.size = bytes.value().size();
-  entry.checksum = Fnv1aChecksum(bytes.value());
+  entry.checksum = VerifiedArtifactChecksum(bytes.value());
   return entry;
 }
 
@@ -299,10 +299,10 @@ Status ArtifactCache::Put(const ArtifactKey& key,
   // completed (half the payload lands, rename still happens): the
   // manifest keeps the INTENDED checksum, so the tear is caught — and
   // quarantined — on the next load.
-  std::string disk_bytes = bytes.value();
-  if (failpoint::Fire("cache/torn_entry")) {
-    disk_bytes.resize(disk_bytes.size() / 2);
-  }
+  const std::string& full = bytes.value();
+  const bool tear = failpoint::Fire("cache/torn_entry");
+  const std::string torn = tear ? full.substr(0, full.size() / 2) : "";
+  const std::string& disk_bytes = tear ? torn : full;
 
   const std::string path = EntryPath(canonical);
   const std::string tmp = path + kTempSuffix;
@@ -333,7 +333,7 @@ Status ArtifactCache::Put(const ArtifactKey& key,
     return failpoint::InjectedFault("cache/manifest_crash");
   }
   entries_[canonical] =
-      ManifestEntry{bytes.value().size(), Fnv1aChecksum(bytes.value())};
+      ManifestEntry{full.size(), VerifiedArtifactChecksum(full)};
   return WriteManifest();
 }
 
@@ -352,35 +352,39 @@ StatusOr<TreeArtifact> ArtifactCache::Get(const ArtifactKey& key) {
       // The file vanished behind the manifest's back: drop the row so
       // GetOrBuild can rebuild instead of failing forever.
       entries_.erase(canonical);
-      (void)WriteManifest();
+      CommitManifestBestEffort();
       ++stats_.misses;
     }
     return bytes.status();
   }
   std::string data = std::move(bytes).value();
   // cache/load_corrupt: the read "succeeded" with one flipped bit, as a
-  // failing disk would. Must be caught by the manifest checksum.
+  // failing disk would. Must be caught by the checksums.
   if (failpoint::Fire("cache/load_corrupt") && !data.empty()) {
     data[data.size() / 3] = static_cast<char>(data[data.size() / 3] ^ 0x10);
   }
-  if (data.size() != it->second.size ||
-      Fnv1aChecksum(data) != it->second.checksum) {
+  const auto quarantine = [&](const std::string& why) {
     QuarantineEntry(canonical);
-    (void)WriteManifest();
-    return Status::DataLoss(
-        "cache: entry '" + canonical +
-        "' fails its manifest checksum; quarantined");
+    CommitManifestBestEffort();
+    return Status::DataLoss(StrPrintf("cache: entry '%s' quarantined: %s",
+                                      canonical.c_str(), why.c_str()));
+  };
+  if (data.size() != it->second.size) {
+    return quarantine("size disagrees with the manifest");
   }
+  // One hash pass: Deserialize verifies the trailer, and a verified
+  // trailer yields the whole-file checksum the manifest row holds.
   StatusOr<TreeArtifact> parsed = DeserializeTreeArtifact(data);
-  if (!parsed.ok()) {
-    QuarantineEntry(canonical);
-    (void)WriteManifest();
-    return Status::DataLoss(StrPrintf(
-        "cache: entry '%s' quarantined: %s", canonical.c_str(),
-        parsed.status().ToString().c_str()));
+  if (!parsed.ok()) return quarantine(parsed.status().ToString());
+  if (VerifiedArtifactChecksum(data) != it->second.checksum) {
+    return quarantine("checksum disagrees with the manifest");
   }
   ++stats_.hits;
   return parsed;
+}
+
+void ArtifactCache::CommitManifestBestEffort() {
+  if (!WriteManifest().ok()) ++stats_.manifest_write_failures;
 }
 
 StatusOr<TreeArtifact> ArtifactCache::GetOrBuild(const ArtifactKey& key,

@@ -86,6 +86,9 @@ struct CacheStats {
   uint64_t temps_swept = 0;        ///< stale .tmp files removed at Open
   bool manifest_recovered = false; ///< MANIFEST was missing/corrupt at Open
   uint64_t strays_adopted = 0;     ///< valid entries found outside MANIFEST
+  /// Manifest commits Get gave up on after the retry policy (the entry
+  /// was already dropped or quarantined; the next commit or Open heals).
+  uint64_t manifest_write_failures = 0;
 };
 
 /// What a Scrub() pass found and fixed.
@@ -174,6 +177,9 @@ class ArtifactCache {
   Status SweepTemps(const std::string& dir, uint64_t* removed);
   Status LoadOrRecoverManifest();
   Status WriteManifest();
+  /// WriteManifest for paths that must not fail on it; a failure only
+  /// counts in stats_.manifest_write_failures.
+  void CommitManifestBestEffort();
   /// Validates the file behind `canonical` completely; returns its
   /// manifest row.
   StatusOr<ManifestEntry> ValidateEntryFile(const std::string& canonical);

@@ -11,84 +11,107 @@
 namespace graphscape {
 namespace {
 
+// The arrays are memcpy'd as host bytes; the documented layout is
+// little-endian, so only a little-endian host writes and reads it.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "tree_io copies arrays as host bytes into a little-endian "
+              "layout");
+static_assert(sizeof(double) == 8, "IEEE-754 doubles expected");
+
 constexpr char kMagic[4] = {'G', 'S', 'T', 'A'};
+constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
+// Header fields: magic, version, num_nodes, num_elements, num_roots,
+// field encoding, name_len.
+constexpr size_t kEncodingOffset = 20;
+constexpr size_t kNameLenOffset = 21;
+constexpr size_t kHeaderBytes = 25;
 
-void AppendU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void AppendF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 doubles expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-// Bounds-checked little-endian reader over the serialized bytes.
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : data_(bytes) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      *v |= static_cast<uint32_t>(
-                static_cast<unsigned char>(data_[pos_++]))
-            << shift;
-    }
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      *v |= static_cast<uint64_t>(
-                static_cast<unsigned char>(data_[pos_++]))
-            << shift;
-    }
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    uint64_t bits;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(bits));
-    return true;
-  }
-
-  bool ReadBytes(char* out, size_t count) {
-    if (pos_ + count > data_.size()) return false;
-    std::memcpy(out, data_.data() + pos_, count);
-    pos_ += count;
-    return true;
-  }
-
-  size_t Position() const { return pos_; }
-  size_t Remaining() const { return data_.size() - pos_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
+enum FieldEncoding : uint8_t {
+  kNoField = 0,
+  kExplicitField = 1,
+  kDerivedField = 2,
 };
+
+uint64_t Align8(uint64_t offset) { return (offset + 7) & ~uint64_t{7}; }
+
+// Byte offsets of every section, all implied by the header.
+struct Layout {
+  uint64_t name_end = 0;
+  uint64_t values = 0;
+  uint64_t parents = 0;
+  uint64_t counts = 0;
+  uint64_t node_of = 0;
+  uint64_t node_of_end = 0;
+  uint64_t field = 0;
+  uint64_t trailer = 0;
+  uint64_t size = 0;
+};
+
+Layout MakeLayout(uint32_t name_len, uint32_t n, uint32_t m,
+                  uint8_t encoding) {
+  Layout layout;
+  layout.name_end = kHeaderBytes + uint64_t{name_len};
+  layout.values = Align8(layout.name_end);
+  layout.parents = layout.values + 8ull * n;
+  layout.counts = layout.parents + 4ull * n;
+  layout.node_of = layout.counts + 4ull * n;
+  layout.node_of_end = layout.node_of + 4ull * m;
+  layout.field = Align8(layout.node_of_end);
+  layout.trailer =
+      layout.field + (encoding == kExplicitField ? 8ull * m : 0);
+  layout.size = layout.trailer + 8;
+  return layout;
+}
+
+void StoreU32(char* out, uint32_t v) { std::memcpy(out, &v, sizeof(v)); }
+
+uint32_t LoadU32(const char* in) {
+  uint32_t v;
+  std::memcpy(&v, in, sizeof(v));
+  return v;
+}
+
+uint64_t LoadU64(const char* in) {
+  uint64_t v;
+  std::memcpy(&v, in, sizeof(v));
+  return v;
+}
+
+// The first `count` items of `items` to `out`, as one copy.
+template <typename T>
+void StoreArray(char* out, const std::vector<T>& items, uint32_t count) {
+  if (count > 0) std::memcpy(out, items.data(), count * sizeof(T));
+}
+
+template <typename T>
+std::vector<T> LoadArray(const char* in, uint32_t count) {
+  std::vector<T> items(count);
+  if (count > 0) std::memcpy(items.data(), in, count * sizeof(T));
+  return items;
+}
+
+bool AllZero(const char* begin, const char* end) {
+  for (const char* p = begin; p < end; ++p) {
+    if (*p != 0) return false;
+  }
+  return true;
+}
+
+// True when every field value is bitwise its super node's value, so the
+// reader can rebuild the column from the tree. Bitwise, not ==: -0.0 and
+// +0.0 compare equal but are different artifacts.
+bool FieldIsDerived(const SuperTree& tree, const std::vector<double>& field) {
+  const std::vector<double>& values = tree.NodeValues();
+  const std::vector<uint32_t>& node_of = tree.ElementNodes();
+  for (size_t e = 0; e < field.size(); ++e) {
+    if (node_of[e] >= values.size() ||
+        std::memcmp(&field[e], &values[node_of[e]], sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -96,127 +119,98 @@ StatusOr<std::string> SerializeTreeArtifact(const TreeArtifact& artifact) {
   const SuperTree& tree = artifact.tree;
   const uint32_t n = tree.NumNodes();
   const uint32_t m = tree.NumElements();
-  const bool has_field = !artifact.field_values.empty();
+  const std::vector<double>& field = artifact.field_values;
   // The write side holds the same contract the read side validates:
   // a field is either absent or exactly one value per element. Checked
   // in every build type — serializing past the vector would emit a
   // corrupt-but-checksummed artifact.
-  if (has_field && artifact.field_values.size() != m) {
+  if (!field.empty() && field.size() != m) {
     return Status::InvalidArgument(StrPrintf(
-        "tree_io: field has %zu values for %u elements",
-        artifact.field_values.size(), m));
+        "tree_io: field has %zu values for %u elements", field.size(), m));
   }
+  const uint8_t encoding = field.empty()                ? kNoField
+                           : FieldIsDerived(tree, field) ? kDerivedField
+                                                         : kExplicitField;
+  const uint32_t name_len = static_cast<uint32_t>(artifact.field_name.size());
+  const Layout layout = MakeLayout(name_len, n, m, encoding);
 
-  std::string out;
-  out.reserve(32 + artifact.field_name.size() + 16ull * n + 4ull * m +
-              (has_field ? 8ull * m : 0));
-  out.append(kMagic, sizeof(kMagic));
-  AppendU32(&out, kTreeIoVersion);
-  AppendU32(&out, n);
-  AppendU32(&out, m);
-  AppendU32(&out, tree.NumRoots());
-  out.push_back(has_field ? 1 : 0);
-  AppendU32(&out, static_cast<uint32_t>(artifact.field_name.size()));
-  out.append(artifact.field_name);
-  for (uint32_t node = 0; node < n; ++node)
-    AppendF64(&out, tree.NodeValues()[node]);
-  for (uint32_t node = 0; node < n; ++node)
-    AppendU32(&out, tree.NodeParents()[node]);
-  for (uint32_t node = 0; node < n; ++node)
-    AppendU32(&out, tree.MemberCounts()[node]);
-  for (uint32_t e = 0; e < m; ++e) AppendU32(&out, tree.ElementNodes()[e]);
-  if (has_field) {
-    for (uint32_t e = 0; e < m; ++e)
-      AppendF64(&out, artifact.field_values[e]);
+  std::string out(layout.size, '\0');  // the padding stays zero
+  char* const p = &out[0];
+  std::memcpy(p, kMagic, sizeof(kMagic));
+  StoreU32(p + 4, kTreeIoVersion);
+  StoreU32(p + 8, n);
+  StoreU32(p + 12, m);
+  StoreU32(p + 16, tree.NumRoots());
+  p[kEncodingOffset] = static_cast<char>(encoding);
+  StoreU32(p + kNameLenOffset, name_len);
+  if (name_len > 0) {
+    std::memcpy(p + kHeaderBytes, artifact.field_name.data(), name_len);
   }
-  AppendU64(&out, Fnv1a(out.data(), out.size()));
+  StoreArray(p + layout.values, tree.NodeValues(), n);
+  StoreArray(p + layout.parents, tree.NodeParents(), n);
+  StoreArray(p + layout.counts, tree.MemberCounts(), n);
+  StoreArray(p + layout.node_of, tree.ElementNodes(), m);
+  if (encoding == kExplicitField) StoreArray(p + layout.field, field, m);
+  const uint64_t checksum = Fnv1aExtend(kFnvOffsetBasis, p, layout.trailer);
+  std::memcpy(p + layout.trailer, &checksum, sizeof(checksum));
   return out;
 }
 
 StatusOr<TreeArtifact> DeserializeTreeArtifact(const std::string& bytes) {
-  Reader reader(bytes);
-  char magic[4];
-  if (!reader.ReadBytes(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
+  const char* const in = bytes.data();
+  const size_t size = bytes.size();
+  if (size < sizeof(kMagic) ||
+      std::memcmp(in, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("tree_io: bad magic");
   }
-  uint32_t version, n, m, num_roots;
-  if (!reader.ReadU32(&version) || !reader.ReadU32(&n) ||
-      !reader.ReadU32(&m) || !reader.ReadU32(&num_roots)) {
+  if (size < kHeaderBytes) {
     return Status::InvalidArgument("tree_io: truncated header");
   }
+  const uint32_t version = LoadU32(in + 4);
+  const uint32_t n = LoadU32(in + 8);
+  const uint32_t m = LoadU32(in + 12);
+  const uint32_t num_roots = LoadU32(in + 16);
   if (version != kTreeIoVersion) {
     return Status::InvalidArgument(
         StrPrintf("tree_io: version %u, this reader understands %u",
                   version, kTreeIoVersion));
   }
-  char has_field_byte;
-  uint32_t name_len;
-  if (!reader.ReadBytes(&has_field_byte, 1) || !reader.ReadU32(&name_len)) {
-    return Status::InvalidArgument("tree_io: truncated header");
-  }
-  if (has_field_byte != 0 && has_field_byte != 1) {
+  const uint8_t encoding = static_cast<uint8_t>(in[kEncodingOffset]);
+  const uint32_t name_len = LoadU32(in + kNameLenOffset);
+  if (encoding > kDerivedField) {
     return Status::InvalidArgument("tree_io: bad field flag");
   }
-  const bool has_field = has_field_byte == 1;
 
   // Check the advertised sizes against the actual byte count BEFORE any
   // allocation, so a hostile header can't request gigabytes.
-  const uint64_t expected =
-      static_cast<uint64_t>(name_len) + 16ull * n + 4ull * m +
-      (has_field ? 8ull * m : 0) + 8 /* checksum */;
-  if (reader.Remaining() != expected) {
+  const Layout layout = MakeLayout(name_len, n, m, encoding);
+  if (size != layout.size) {
     return Status::InvalidArgument(
-        StrPrintf("tree_io: payload is %llu bytes, header promises %llu",
-                  static_cast<unsigned long long>(reader.Remaining()),
-                  static_cast<unsigned long long>(expected)));
+        StrPrintf("tree_io: artifact is %llu bytes, header promises %llu",
+                  static_cast<unsigned long long>(size),
+                  static_cast<unsigned long long>(layout.size)));
   }
-
-  TreeArtifact artifact;
-  artifact.field_name.resize(name_len);
-  if (name_len > 0 && !reader.ReadBytes(&artifact.field_name[0], name_len)) {
-    return Status::InvalidArgument("tree_io: truncated name");
-  }
-
-  std::vector<double> node_values(n);
-  std::vector<uint32_t> node_parents(n), member_counts(n), node_of(m);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!reader.ReadF64(&node_values[i])) {
-      return Status::InvalidArgument("tree_io: truncated node values");
-    }
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!reader.ReadU32(&node_parents[i])) {
-      return Status::InvalidArgument("tree_io: truncated parents");
-    }
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!reader.ReadU32(&member_counts[i])) {
-      return Status::InvalidArgument("tree_io: truncated member counts");
-    }
-  }
-  for (uint32_t i = 0; i < m; ++i) {
-    if (!reader.ReadU32(&node_of[i])) {
-      return Status::InvalidArgument("tree_io: truncated element nodes");
-    }
-  }
-  if (has_field) {
-    artifact.field_values.resize(m);
-    for (uint32_t i = 0; i < m; ++i) {
-      if (!reader.ReadF64(&artifact.field_values[i])) {
-        return Status::InvalidArgument("tree_io: truncated field values");
-      }
-    }
-  }
-  const uint64_t actual_checksum =
-      Fnv1a(bytes.data(), reader.Position());
-  uint64_t stored_checksum;
-  if (!reader.ReadU64(&stored_checksum)) {
-    return Status::InvalidArgument("tree_io: truncated checksum");
-  }
-  if (stored_checksum != actual_checksum) {
+  if (LoadU64(in + layout.trailer) !=
+      Fnv1aExtend(kFnvOffsetBasis, in, layout.trailer)) {
     // The layout was intact but the payload bytes are not the ones that
     // were checksummed: stored data came back wrong.
     return Status::DataLoss("tree_io: checksum mismatch");
+  }
+  if (!AllZero(in + layout.name_end, in + layout.values) ||
+      !AllZero(in + layout.node_of_end, in + layout.field)) {
+    return Status::InvalidArgument("tree_io: non-zero padding");
+  }
+
+  TreeArtifact artifact;
+  artifact.field_name.assign(in + kHeaderBytes, name_len);
+  std::vector<double> node_values = LoadArray<double>(in + layout.values, n);
+  std::vector<uint32_t> node_parents =
+      LoadArray<uint32_t>(in + layout.parents, n);
+  std::vector<uint32_t> member_counts =
+      LoadArray<uint32_t>(in + layout.counts, n);
+  std::vector<uint32_t> node_of = LoadArray<uint32_t>(in + layout.node_of, m);
+  if (encoding == kExplicitField) {
+    artifact.field_values = LoadArray<double>(in + layout.field, m);
   }
 
   // Structural validation: everything SuperTree's from-parts constructor
@@ -266,6 +260,14 @@ StatusOr<TreeArtifact> DeserializeTreeArtifact(const std::string& bytes) {
     }
   }
 
+  if (encoding == kDerivedField) {
+    // node_of passed its range check above, so every lookup is in bounds.
+    artifact.field_values.resize(m);
+    for (uint32_t e = 0; e < m; ++e) {
+      artifact.field_values[e] = node_values[node_of[e]];
+    }
+  }
+
   artifact.tree =
       SuperTree(std::move(node_values), std::move(node_parents),
                 std::move(member_counts), std::move(node_of), num_roots);
@@ -286,7 +288,21 @@ StatusOr<TreeArtifact> LoadTreeArtifact(const std::string& path) {
 }
 
 uint64_t Fnv1aChecksum(const std::string& bytes) {
-  return Fnv1a(bytes.data(), bytes.size());
+  return Fnv1aExtend(kFnvOffsetBasis, bytes.data(), bytes.size());
+}
+
+uint64_t Fnv1aExtend(uint64_t hash, const char* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= static_cast<unsigned char>(data[i]);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+uint64_t VerifiedArtifactChecksum(const std::string& bytes) {
+  if (bytes.size() < sizeof(uint64_t)) return Fnv1aChecksum(bytes);
+  const char* const trailer = bytes.data() + bytes.size() - sizeof(uint64_t);
+  return Fnv1aExtend(LoadU64(trailer), trailer, sizeof(uint64_t));
 }
 
 }  // namespace graphscape

@@ -424,21 +424,42 @@ TEST(ParallelMetricsTest, TrussNumbersMatchExactly) {
 }
 
 TEST(ParallelEdgeIndexTest, SlotEdgeIdsEqualAndTwinConsistentAtEveryWidth) {
+  // EdgeIndex is one sequential sweep, so there is no width to vary; the
+  // ids it hands the parallel K-Truss passes must equal a binary-search
+  // oracle: forward slots numbered in CSR order, each reverse slot
+  // carrying the id found by searching its twin in the smaller
+  // endpoint's run.
   Rng rng(29);
-  const Graph g = BarabasiAlbert(5000, 4, &rng);  // > 1024: real blocks
-  const std::vector<uint32_t> seq = EdgeIndex(g).SlotEdgeIds();
-  for (const uint32_t width : kWidths) {
-    const EdgeIndex index(g, {width, 0});
-    ASSERT_EQ(index.SlotEdgeIds(), seq) << "width " << width;
-    // Both CSR slots of {u, v} carry the id whose endpoints are u and v.
-    for (VertexId u = 0; u < g.NumVertices(); ++u) {
-      const Graph::NeighborRange run = g.Neighbors(u);
-      for (uint32_t i = 0; i < run.size(); ++i) {
-        const VertexId v = run.begin()[i];
-        const uint32_t e = index.EdgeAtSlot(g.Offsets()[u] + i);
-        ASSERT_EQ(index.U(e), std::min(u, v)) << "width " << width;
-        ASSERT_EQ(index.V(e), std::max(u, v)) << "width " << width;
-      }
+  const Graph g = BarabasiAlbert(5000, 4, &rng);
+  const std::vector<uint32_t>& offsets = g.Offsets();
+  const std::vector<VertexId>& adj = g.Adjacency();
+  std::vector<uint32_t> oracle(adj.size());
+  uint32_t next = 0;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
+      if (adj[s] > u) oracle[s] = next++;
+    }
+  }
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (uint32_t s = offsets[u]; s < offsets[u + 1]; ++s) {
+      const VertexId v = adj[s];
+      if (v > u) continue;
+      const auto twin = std::lower_bound(adj.begin() + offsets[v],
+                                         adj.begin() + offsets[v + 1], u);
+      oracle[s] = oracle[static_cast<uint32_t>(twin - adj.begin())];
+    }
+  }
+  const EdgeIndex index(g);
+  ASSERT_EQ(index.SlotEdgeIds(), oracle);
+  // Both CSR slots of {u, v} carry the id whose endpoints are u and v.
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    const Graph::NeighborRange run = g.Neighbors(u);
+    for (uint32_t i = 0; i < run.size(); ++i) {
+      const VertexId v = run.begin()[i];
+      const uint32_t e = index.EdgeAtSlot(offsets[u] + i);
+      ASSERT_EQ(index.U(e), std::min(u, v));
+      ASSERT_EQ(index.V(e), std::max(u, v));
+      ASSERT_EQ(index.EdgeId(u, v), e);
     }
   }
 }
@@ -454,7 +475,6 @@ struct DefaultCallOutputs {
   double average_cc = 0.0;
   std::vector<double> pagerank;
   std::vector<uint32_t> truss;
-  std::vector<uint32_t> slot_edge_ids;
   std::vector<VertexId> vertex_parents;
   std::vector<VertexId> edge_parents;
   std::vector<uint32_t> sweep_order;
@@ -470,7 +490,6 @@ DefaultCallOutputs CallWithDefaults(const Graph& g,
   out.average_cc = AverageClusteringCoefficient(g);
   out.pagerank = PageRank(g);
   out.truss = TrussNumbers(g);
-  out.slot_edge_ids = EdgeIndex(g).SlotEdgeIds();
   out.vertex_parents = BuildVertexScalarTree(g, vertex_field).Parents();
   out.edge_parents = BuildEdgeScalarTree(g, edge_field).Parents();
   std::vector<uint32_t> rank;
@@ -501,7 +520,6 @@ TEST(ParallelDefaultOptionsTest, DefaultCallsRunInlineInsideARegion) {
     EXPECT_EQ(got.average_cc, outside.average_cc);
     EXPECT_EQ(got.pagerank, outside.pagerank);
     EXPECT_EQ(got.truss, outside.truss);
-    EXPECT_EQ(got.slot_edge_ids, outside.slot_edge_ids);
     EXPECT_EQ(got.vertex_parents, outside.vertex_parents);
     EXPECT_EQ(got.edge_parents, outside.edge_parents);
     EXPECT_EQ(got.sweep_order, outside.sweep_order);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "common/fs.h"
 #include "common/retry.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "gen/generators.h"
 #include "metrics/kcore.h"
 #include "scalar/artifact_cache.h"
@@ -188,7 +190,7 @@ TEST_F(RecoveryTest, LostOrCorruptManifestIsRebuiltFromEntries) {
 }
 
 // A bit flip on the stored bytes (silent disk corruption): caught by the
-// manifest checksum on load, quarantined, rebuilt byte-identical.
+// checksums on load, quarantined, rebuilt byte-identical.
 TEST_F(RecoveryTest, BitFlippedEntryIsCaughtQuarantinedAndRebuilt) {
   const std::string root = FreshRoot("bitflip");
   const ArtifactKey key{"ds", "KC"};
@@ -360,6 +362,113 @@ TEST_F(RecoveryTest, AtomicSaveLeavesOldFileIntactOnRenameFailure) {
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(bytes.value(), MustSerialize(first));
   (void)RemoveFile(path);
+}
+
+// The version-1 layout (no padding, explicit f64 field column), as
+// caches written before version 2 hold it.
+std::string SerializeVersion1(const TreeArtifact& artifact) {
+  std::string out = "GSTA";
+  const auto u32 = [&out](uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<char>((v >> shift) & 0xffu));
+    }
+  };
+  const auto u64 = [&out](uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      out.push_back(static_cast<char>((v >> shift) & 0xffu));
+    }
+  };
+  const auto f64 = [&u64](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  };
+  const SuperTree& tree = artifact.tree;
+  u32(1);
+  u32(tree.NumNodes());
+  u32(tree.NumElements());
+  u32(tree.NumRoots());
+  out.push_back(1);
+  u32(static_cast<uint32_t>(artifact.field_name.size()));
+  out += artifact.field_name;
+  for (const double v : tree.NodeValues()) f64(v);
+  for (const uint32_t p : tree.NodeParents()) u32(p);
+  for (const uint32_t c : tree.MemberCounts()) u32(c);
+  for (const uint32_t node : tree.ElementNodes()) u32(node);
+  for (const double v : artifact.field_values) f64(v);
+  u64(Fnv1aChecksum(out));
+  return out;
+}
+
+// A cache written by a version-1 build: its manifest row matches the
+// v1 entry, so Open keeps the row. Get must never serve the entry: it is
+// quarantined, and GetOrBuild stores the same bytes a fresh Put does.
+TEST_F(RecoveryTest, VersionOneEntryIsQuarantinedAndRebuiltAsVersionTwo) {
+  const std::string root = FreshRoot("v1");
+  const ArtifactKey key{"ds", "KC"};
+  const TreeArtifact artifact = MakeArtifact(37);
+  const std::string v1 = SerializeVersion1(artifact);
+  ASSERT_TRUE(MakeDirs(root + "/entries").ok());
+  ASSERT_TRUE(WriteFileBytes(EntryPathFor(root, "ds/KC"), v1, true).ok());
+  std::string manifest =
+      StrPrintf("GSCM 1\nentry %s %zu %016llx\n",
+                ArtifactCache::EncodeKey("ds/KC").c_str(), v1.size(),
+                static_cast<unsigned long long>(Fnv1aChecksum(v1)));
+  manifest += StrPrintf(
+      "sum %016llx\n",
+      static_cast<unsigned long long>(Fnv1aChecksum(manifest)));
+  ASSERT_TRUE(WriteFileBytes(root + "/MANIFEST", manifest, true).ok());
+
+  ArtifactCache cache = MustOpen(root);
+  EXPECT_FALSE(cache.stats().manifest_recovered);
+  ASSERT_TRUE(cache.Contains(key));
+  const StatusOr<TreeArtifact> old = cache.Get(key);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(cache.stats().corrupt_quarantined, 1u);
+  EXPECT_FALSE(cache.Contains(key));
+
+  const StatusOr<TreeArtifact> rebuilt = cache.GetOrBuild(
+      key, [&]() -> StatusOr<TreeArtifact> { return MakeArtifact(37); });
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(cache.stats().rebuilds, 1u);
+  const std::string fresh_root = FreshRoot("v1_fresh");
+  ArtifactCache fresh = MustOpen(fresh_root);
+  ASSERT_TRUE(fresh.Put(key, artifact).ok());
+  const StatusOr<std::string> healed =
+      ReadFileBytes(EntryPathFor(root, "ds/KC"));
+  const StatusOr<std::string> clean =
+      ReadFileBytes(EntryPathFor(fresh_root, "ds/KC"));
+  ASSERT_TRUE(healed.ok());
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(healed.value(), clean.value());
+  EXPECT_NE(healed.value(), v1);
+  const StatusOr<std::vector<std::string>> quarantined =
+      ListDir(root + "/quarantine");
+  ASSERT_TRUE(quarantined.ok());
+  ASSERT_EQ(quarantined.value().size(), 1u);
+  const StatusOr<std::string> kept =
+      ReadFileBytes(root + "/quarantine/" + quarantined.value()[0]);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.value(), v1);
+}
+
+// Get's best-effort manifest commits (after a quarantine here) are
+// counted when they fail instead of vanishing.
+TEST_F(RecoveryTest, FailedManifestCommitInGetIsCounted) {
+  const std::string root = FreshRoot("manifest_fail");
+  const ArtifactKey key{"ds", "KC"};
+  ArtifactCache cache = MustOpen(root);
+  ASSERT_TRUE(cache.Put(key, MakeArtifact(39)).ok());
+  EXPECT_EQ(cache.stats().manifest_write_failures, 0u);
+  ScopedFailpoint corrupt("cache/load_corrupt", Spec::Once());
+  ScopedFailpoint manifest("cache/manifest_write", Spec::Always());
+  const StatusOr<TreeArtifact> got = cache.Get(key);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(cache.stats().corrupt_quarantined, 1u);
+  EXPECT_EQ(cache.stats().manifest_write_failures, 1u);
+  EXPECT_EQ(manifest.fire_count(), FastOptions().retry.max_attempts);
 }
 
 }  // namespace

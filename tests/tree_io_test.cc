@@ -5,14 +5,17 @@
 // byte-identical for vertex and edge trees (the CI cross-compiler
 // contract), loaded trees must answer queries like the originals, and
 // every corruption mode — bad magic, foreign version, truncation, bit
-// flips, structurally invalid trees — must be rejected with
-// InvalidArgument, never accepted.
+// flips, non-zero padding, structurally invalid trees — must be rejected
+// with InvalidArgument (or DataLoss for a checksum mismatch), never
+// accepted. Version 2 stores a full super tree's field as derived and
+// any other field as an explicit column; both must round-trip exactly.
 
 #include "scalar/tree_io.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -207,6 +210,111 @@ TEST(TreeIoTest, RejectsStructurallyInvalidTrees) {
   reject(SuperTree({2.0, 1.0}, {kInvalidSuperNode, 0u}, {1, 1}, {0, 0}, 1));
   // Wrong root count.
   reject(SuperTree({2.0, 1.0}, {kInvalidSuperNode, 0u}, {1, 1}, {0, 1}, 2));
+}
+
+// ------------------------------------------------------ version 2 --
+
+constexpr size_t kEncodingByte = 20;
+
+uint64_t Align8(uint64_t offset) { return (offset + 7) / 8 * 8; }
+
+// The v2 byte count: header + name padded to 8, node arrays, node_of
+// padded to 8, the explicit column if any, the trailer.
+uint64_t V2Size(const TreeArtifact& artifact, bool explicit_field) {
+  const uint64_t n = artifact.tree.NumNodes();
+  const uint64_t m = artifact.tree.NumElements();
+  return Align8(25 + artifact.field_name.size()) + 16 * n + Align8(4 * m) +
+         (explicit_field ? 8 * m : 0) + 8;
+}
+
+// Rewrites the trailer so `bytes` checksum clean again after an edit.
+void Rechecksum(std::string* bytes) {
+  const size_t body = bytes->size() - 8;
+  const uint64_t sum = Fnv1aChecksum(bytes->substr(0, body));
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[body + i] = static_cast<char>((sum >> (8 * i)) & 0xffu);
+  }
+}
+
+TEST(TreeIoTest, FullSuperTreeFieldIsDerivedAndSizedByTheFormula) {
+  for (const TreeArtifact& artifact : {VertexArtifact(3), EdgeArtifact(5)}) {
+    const std::string bytes = MustSerialize(artifact);
+    EXPECT_EQ(bytes[kEncodingByte], 2);
+    EXPECT_EQ(bytes.size(), V2Size(artifact, /*explicit_field=*/false));
+    EXPECT_EQ(bytes.size() % 8, 0u);
+    ExpectRoundtripByteEqual(artifact);
+  }
+}
+
+TEST(TreeIoTest, OneDifferingValueKeepsTheExplicitColumn) {
+  TreeArtifact artifact = EdgeArtifact(5);
+  artifact.field_values[artifact.field_values.size() / 2] += 0.25;
+  const std::string bytes = MustSerialize(artifact);
+  EXPECT_EQ(bytes[kEncodingByte], 1);
+  EXPECT_EQ(bytes.size(), V2Size(artifact, /*explicit_field=*/true));
+  ExpectRoundtripByteEqual(artifact);
+}
+
+TEST(TreeIoTest, NegativeZeroAgainstPositiveZeroNodeIsExplicit) {
+  // -0.0 == +0.0, but the artifacts differ; only a bitwise comparison
+  // keeps the round trip exact.
+  TreeArtifact artifact;
+  artifact.tree =
+      SuperTree({0.0, 1.0}, {kInvalidSuperNode, 0u}, {2, 1}, {0, 1, 0}, 1);
+  artifact.field_name = "F";
+  artifact.field_values = {-0.0, 1.0, 0.0};
+  const std::string bytes = MustSerialize(artifact);
+  EXPECT_EQ(bytes[kEncodingByte], 1);
+  const auto loaded = DeserializeTreeArtifact(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value().field_values.size(), 3u);
+  EXPECT_TRUE(std::signbit(loaded.value().field_values[0]));
+  EXPECT_FALSE(std::signbit(loaded.value().field_values[2]));
+  EXPECT_EQ(MustSerialize(loaded.value()), bytes);
+}
+
+TEST(TreeIoTest, RejectsNonZeroPadding) {
+  // Name "KC" ends the header at byte 27 and three elements end node_of
+  // 4 bytes short of a multiple of 8: both sections carry padding.
+  TreeArtifact artifact;
+  artifact.tree =
+      SuperTree({1.0, 2.0}, {kInvalidSuperNode, 0u}, {2, 1}, {0, 0, 1}, 1);
+  artifact.field_name = "KC";
+  artifact.field_values = {1.0, 1.0, 2.0};
+  const std::string bytes = MustSerialize(artifact);
+  ASSERT_TRUE(DeserializeTreeArtifact(bytes).ok());
+  const size_t node_of_end = 32 + 16 * 2 + 4 * 3;
+  for (const size_t pad : {size_t{27}, size_t{31}, node_of_end}) {
+    std::string padded = bytes;
+    padded[pad] = 1;
+    Rechecksum(&padded);
+    const auto result = DeserializeTreeArtifact(padded);
+    ASSERT_FALSE(result.ok()) << "pad byte " << pad;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(TreeIoTest, RejectsVersionOneEvenWithAValidChecksum) {
+  std::string bytes = MustSerialize(VertexArtifact(3));
+  bytes[4] = 1;
+  Rechecksum(&bytes);
+  const auto result = DeserializeTreeArtifact(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TreeIoTest, TrailerExtendsToTheWholeFileChecksum) {
+  const std::string bytes = MustSerialize(EdgeArtifact(5));
+  const size_t body = bytes.size() - 8;
+  uint64_t trailer = 0;
+  for (int i = 0; i < 8; ++i) {
+    trailer |= uint64_t{static_cast<unsigned char>(bytes[body + i])}
+               << (8 * i);
+  }
+  EXPECT_EQ(trailer, Fnv1aChecksum(bytes.substr(0, body)));
+  EXPECT_EQ(Fnv1aExtend(trailer, bytes.data() + body, 8),
+            Fnv1aChecksum(bytes));
+  EXPECT_EQ(VerifiedArtifactChecksum(bytes), Fnv1aChecksum(bytes));
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 //
 //   tree_io_check write <dir>   build KC (vertex) and KT (edge) super
 //                               trees for two registry datasets and
-//                               save them as .gsta artifacts;
+//                               save them as .gsta artifacts (their
+//                               fields are derived from the trees), plus
+//                               one KT tree whose field is perturbed, so
+//                               it is stored as an explicit column;
 //   tree_io_check verify <dir>  load every artifact written above,
 //                               re-serialize, and fail unless the bytes
 //                               are identical to the file on disk.
@@ -36,7 +39,8 @@ struct NamedArtifact {
 };
 
 // The artifact set both modes agree on: deterministic datasets, one
-// vertex tree and one edge tree each.
+// vertex tree and one edge tree each, and one edge tree paired with a
+// field it was not built from (the explicit-column encoding).
 std::vector<NamedArtifact> BuildArtifacts() {
   std::vector<NamedArtifact> artifacts;
   for (const DatasetId id : {DatasetId::kGrQc, DatasetId::kWikiVote}) {
@@ -62,6 +66,11 @@ std::vector<NamedArtifact> BuildArtifacts() {
       artifacts.push_back(std::move(named));
     }
   }
+  NamedArtifact perturbed = artifacts[1];
+  perturbed.filename = "GrQc_kt_explicit.gsta";
+  std::vector<double>& values = perturbed.artifact.field_values;
+  for (size_t e = 0; e < values.size(); e += 2) values[e] += 0.5;
+  artifacts.push_back(std::move(perturbed));
   return artifacts;
 }
 
