@@ -3,8 +3,6 @@
 
 #include "graph/forward_adjacency.h"
 
-#include <algorithm>
-
 namespace graphscape {
 namespace {
 
@@ -29,10 +27,7 @@ ForwardAdjacency BuildForward(const Graph& g, const ParallelOptions& options,
     }
     fwd.offsets[u + 1] = out;
   });
-  for (VertexId u = 0; u < n; ++u) {
-    fwd.max_out_degree = std::max(fwd.max_out_degree, fwd.offsets[u + 1]);
-    fwd.offsets[u + 1] += fwd.offsets[u];
-  }
+  for (VertexId u = 0; u < n; ++u) fwd.offsets[u + 1] += fwd.offsets[u];
 
   fwd.targets.resize(fwd.offsets[n]);
   if (slot_edge_ids != nullptr) fwd.edge_ids.resize(fwd.offsets[n]);

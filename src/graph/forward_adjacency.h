@@ -29,7 +29,6 @@ struct ForwardAdjacency {
   std::vector<uint32_t> offsets;   // n + 1
   std::vector<VertexId> targets;   // m
   std::vector<uint32_t> edge_ids;  // m when built with slot ids, else empty
-  uint32_t max_out_degree = 0;     // scratch sizing for Into() callers
 
   const VertexId* Run(VertexId u) const { return targets.data() + offsets[u]; }
   uint32_t RunLength(VertexId u) const {

@@ -2,6 +2,8 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Kernel implementations and runtime dispatch for graph/intersect_simd.h.
+// Each kernel is one template over kPositions: true writes the position
+// pair of every match, false compiles those writes out and only counts.
 //
 // The vector kernels are the classic shuffle-and-compare block algorithm:
 // load one aligned-width block from each run, compare every lane of A
@@ -21,10 +23,6 @@
 
 #include "graph/intersect_simd.h"
 
-#include <cassert>
-#include <cstdlib>
-#include <cstring>
-
 #if !defined(GRAPHSCAPE_SIMD_DISABLED) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define GRAPHSCAPE_INTERSECT_X86 1
@@ -33,98 +31,89 @@
 
 namespace graphscape {
 namespace intersect {
-
-namespace detail {
-
-uint32_t CountMerge(const uint32_t* a, uint32_t na, const uint32_t* b,
-                    uint32_t nb) {
-  // The seed's branchy merge, verbatim: this IS the scalar kernel every
-  // other path must agree with.
-  const uint32_t* ea = a + na;
-  const uint32_t* eb = b + nb;
-  uint32_t count = 0;
-  while (a != ea && b != eb) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      ++count;
-      ++a;
-      ++b;
-    }
-  }
-  return count;
-}
-
-uint32_t IntoMerge(const uint32_t* a, uint32_t na, const uint32_t* b,
-                   uint32_t nb, uint32_t* out) {
-  const uint32_t* ea = a + na;
-  const uint32_t* eb = b + nb;
-  uint32_t count = 0;
-  while (a != ea && b != eb) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      out[count++] = *a;
-      ++a;
-      ++b;
-    }
-  }
-  return count;
-}
-
-uint32_t CountGallop(const uint32_t* small, uint32_t ns,
-                     const uint32_t* large, uint32_t nl) {
-  const uint32_t* end = large + nl;
-  const uint32_t* p = large;
-  uint32_t count = 0;
-  for (uint32_t i = 0; i < ns; ++i) {
-    p = GallopSeek(p, end, small[i]);
-    if (p == end) break;
-    if (*p == small[i]) {
-      ++count;
-      ++p;
-    }
-  }
-  return count;
-}
-
-uint32_t IntoGallop(const uint32_t* small, uint32_t ns,
-                    const uint32_t* large, uint32_t nl, uint32_t* out) {
-  const uint32_t* end = large + nl;
-  const uint32_t* p = large;
-  uint32_t count = 0;
-  for (uint32_t i = 0; i < ns; ++i) {
-    p = GallopSeek(p, end, small[i]);
-    if (p == end) break;
-    if (*p == small[i]) {
-      out[count++] = small[i];
-      ++p;
-    }
-  }
-  return count;
-}
-
-}  // namespace detail
-
 namespace {
 
-using detail::CountGallop;
-using detail::CountMerge;
 using detail::GallopSeek;
-using detail::IntoGallop;
-using detail::IntoMerge;
+
+// Every kernel appends its k-th match at ia[count + k], jb[count + k] and
+// returns the new count, so a kernel can hand its tail to the merge.
+
+// The scalar merge from cursors (i, j): the reference kernel every other
+// path must agree with, and the tail of the block kernels.
+template <bool kPositions>
+uint32_t MergeFrom(const uint32_t* a, uint32_t i, uint32_t na,
+                   const uint32_t* b, uint32_t j, uint32_t nb,
+                   uint32_t count, uint32_t* ia, uint32_t* jb) {
+  while (i < na && j < nb) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      if constexpr (kPositions) {
+        ia[count] = i;
+        jb[count] = j;
+      }
+      ++count;
+      ++i;
+      ++j;
+    }
+  }
+  return count;
+}
+
+template <bool kPositions>
+uint32_t Merge(const uint32_t* a, uint32_t na, const uint32_t* b,
+               uint32_t nb, uint32_t* ia, uint32_t* jb) {
+  return MergeFrom<kPositions>(a, 0, na, b, 0, nb, 0, ia, jb);
+}
+
+// Walk the short run, gallop through the long one.
+template <bool kPositions>
+uint32_t Gallop(const uint32_t* small, uint32_t ns, const uint32_t* large,
+                uint32_t nl, uint32_t* is, uint32_t* il) {
+  const uint32_t* end = large + nl;
+  const uint32_t* p = large;
+  uint32_t count = 0;
+  for (uint32_t i = 0; i < ns; ++i) {
+    p = GallopSeek(p, end, small[i]);
+    if (p == end) break;
+    if (*p == small[i]) {
+      if constexpr (kPositions) {
+        is[count] = i;
+        il[count] = static_cast<uint32_t>(p - large);
+      }
+      ++count;
+      ++p;
+    }
+  }
+  return count;
+}
 
 #ifdef GRAPHSCAPE_INTERSECT_X86
 
-// ------------------------------------------------------------- SSE2 4x4 --
-// SSE2 is x86-64 baseline, so these need no target attribute and no probe.
+// Records one block compare's matches. Bit l of `mask` is set iff a[i + l]
+// occurs in the b block starting at j; those b entries hold the same
+// values in the same order, so one forward scan of the block pairs them.
+inline uint32_t EmitBlock(uint32_t mask, const uint32_t* a, uint32_t i,
+                          const uint32_t* b, uint32_t j, uint32_t count,
+                          uint32_t* ia, uint32_t* jb) {
+  for (; mask != 0; mask &= mask - 1) {
+    const uint32_t ai = i + static_cast<uint32_t>(__builtin_ctz(mask));
+    while (b[j] != a[ai]) ++j;
+    ia[count] = ai;
+    jb[count] = j++;
+    ++count;
+  }
+  return count;
+}
 
-uint32_t CountSse2(const uint32_t* a, uint32_t na, const uint32_t* b,
-                   uint32_t nb) {
+// ------------------------------------------------------------- SSE2 4x4 --
+// SSE2 is x86-64 baseline, so this needs no target attribute and no probe.
+
+template <bool kPositions>
+uint32_t BlockSse2(const uint32_t* a, uint32_t na, const uint32_t* b,
+                   uint32_t nb, uint32_t* ia, uint32_t* jb) {
   uint32_t i = 0, j = 0, count = 0;
   if (na >= 4 && nb >= 4) {
     __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
@@ -137,44 +126,12 @@ uint32_t CountSse2(const uint32_t* a, uint32_t na, const uint32_t* b,
           eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4e)));  // 1032
       eq = _mm_or_si128(
           eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));  // 2103
-      count += static_cast<uint32_t>(
-          __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(eq))));
-      const uint32_t amax = a[i + 3], bmax = b[j + 3];
-      if (amax <= bmax) {
-        i += 4;
-        if (i + 4 > na) break;
-        va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-      }
-      if (bmax <= amax) {
-        j += 4;
-        if (j + 4 > nb) break;
-        vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-      }
-    }
-  }
-  return count + CountMerge(a + i, na - i, b + j, nb - j);
-}
-
-uint32_t IntoSse2(const uint32_t* a, uint32_t na, const uint32_t* b,
-                  uint32_t nb, uint32_t* out) {
-  uint32_t i = 0, j = 0, count = 0;
-  if (na >= 4 && nb >= 4) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-    while (true) {
-      __m128i eq = _mm_cmpeq_epi32(va, vb);
-      eq = _mm_or_si128(eq,
-                        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));
-      eq = _mm_or_si128(eq,
-                        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4e)));
-      eq = _mm_or_si128(eq,
-                        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));
-      uint32_t mask = static_cast<uint32_t>(
+      const uint32_t mask = static_cast<uint32_t>(
           _mm_movemask_ps(_mm_castsi128_ps(eq)));
-      while (mask != 0) {
-        const uint32_t lane = static_cast<uint32_t>(__builtin_ctz(mask));
-        out[count++] = a[i + lane];
-        mask &= mask - 1;
+      if constexpr (kPositions) {
+        count = EmitBlock(mask, a, i, b, j, count, ia, jb);
+      } else {
+        count += static_cast<uint32_t>(__builtin_popcount(mask));
       }
       const uint32_t amax = a[i + 3], bmax = b[j + 3];
       if (amax <= bmax) {
@@ -189,15 +146,17 @@ uint32_t IntoSse2(const uint32_t* a, uint32_t na, const uint32_t* b,
       }
     }
   }
-  return count + IntoMerge(a + i, na - i, b + j, nb - j, out + count);
+  return MergeFrom<kPositions>(a, i, na, b, j, nb, count, ia, jb);
 }
 
 // ------------------------------------------------------------- AVX2 8x8 --
 
-__attribute__((target("avx2"))) uint32_t CountAvx2(const uint32_t* a,
+template <bool kPositions>
+__attribute__((target("avx2"))) uint32_t BlockAvx2(const uint32_t* a,
                                                    uint32_t na,
                                                    const uint32_t* b,
-                                                   uint32_t nb) {
+                                                   uint32_t nb, uint32_t* ia,
+                                                   uint32_t* jb) {
   uint32_t i = 0, j = 0, count = 0;
   if (na >= 8 && nb >= 8) {
     const __m256i r1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
@@ -225,62 +184,12 @@ __attribute__((target("avx2"))) uint32_t CountAvx2(const uint32_t* a,
           eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r6)));
       eq = _mm256_or_si256(
           eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r7)));
-      count += static_cast<uint32_t>(
-          __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(eq))));
-      const uint32_t amax = a[i + 7], bmax = b[j + 7];
-      if (amax <= bmax) {
-        i += 8;
-        if (i + 8 > na) break;
-        va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      }
-      if (bmax <= amax) {
-        j += 8;
-        if (j + 8 > nb) break;
-        vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-      }
-    }
-  }
-  return count + CountMerge(a + i, na - i, b + j, nb - j);
-}
-
-__attribute__((target("avx2"))) uint32_t IntoAvx2(const uint32_t* a,
-                                                  uint32_t na,
-                                                  const uint32_t* b,
-                                                  uint32_t nb,
-                                                  uint32_t* out) {
-  uint32_t i = 0, j = 0, count = 0;
-  if (na >= 8 && nb >= 8) {
-    const __m256i r1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-    const __m256i r2 = _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1);
-    const __m256i r3 = _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2);
-    const __m256i r4 = _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3);
-    const __m256i r5 = _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4);
-    const __m256i r6 = _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5);
-    const __m256i r7 = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-    while (true) {
-      __m256i eq = _mm256_cmpeq_epi32(va, vb);
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r1)));
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r2)));
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r3)));
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r4)));
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r5)));
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r6)));
-      eq = _mm256_or_si256(
-          eq, _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r7)));
-      uint32_t mask = static_cast<uint32_t>(
+      const uint32_t mask = static_cast<uint32_t>(
           _mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-      while (mask != 0) {
-        const uint32_t lane = static_cast<uint32_t>(__builtin_ctz(mask));
-        out[count++] = a[i + lane];
-        mask &= mask - 1;
+      if constexpr (kPositions) {
+        count = EmitBlock(mask, a, i, b, j, count, ia, jb);
+      } else {
+        count += static_cast<uint32_t>(__builtin_popcount(mask));
       }
       const uint32_t amax = a[i + 7], bmax = b[j + 7];
       if (amax <= bmax) {
@@ -295,34 +204,32 @@ __attribute__((target("avx2"))) uint32_t IntoAvx2(const uint32_t* a,
       }
     }
   }
-  return count + IntoMerge(a + i, na - i, b + j, nb - j, out + count);
+  return MergeFrom<kPositions>(a, i, na, b, j, nb, count, ia, jb);
 }
 
 #endif  // GRAPHSCAPE_INTERSECT_X86
 
 // --------------------------------------------------------------- dispatch --
 
-using CountFn = uint32_t (*)(const uint32_t*, uint32_t, const uint32_t*,
-                             uint32_t);
-using IntoFn = uint32_t (*)(const uint32_t*, uint32_t, const uint32_t*,
-                            uint32_t, uint32_t*);
+using KernelFn = uint32_t (*)(const uint32_t*, uint32_t, const uint32_t*,
+                              uint32_t, uint32_t*, uint32_t*);
 
 struct Dispatch {
   Kernel kernel;
-  CountFn count;
-  IntoFn into;
+  KernelFn count;
+  KernelFn positions;
 };
 
 Dispatch MakeDispatch(Kernel kernel) {
   switch (kernel) {
 #ifdef GRAPHSCAPE_INTERSECT_X86
     case Kernel::kAvx2:
-      return {Kernel::kAvx2, &CountAvx2, &IntoAvx2};
+      return {Kernel::kAvx2, &BlockAvx2<false>, &BlockAvx2<true>};
     case Kernel::kSse2:
-      return {Kernel::kSse2, &CountSse2, &IntoSse2};
+      return {Kernel::kSse2, &BlockSse2<false>, &BlockSse2<true>};
 #endif
     default:
-      return {Kernel::kScalar, &CountMerge, &IntoMerge};
+      return {Kernel::kScalar, &Merge<false>, &Merge<true>};
   }
 }
 
@@ -342,25 +249,9 @@ bool ProbeSupported(Kernel kernel) {
   }
 }
 
-// Env cap: GRAPHSCAPE_SIMD limits how wide dispatch may go (docs/SIMD.md).
-// Unset or unrecognized means "best supported".
-Kernel EnvKernelCap() {
-  const char* env = std::getenv("GRAPHSCAPE_SIMD");
-  if (env == nullptr) return Kernel::kAvx2;
-  if (std::strcmp(env, "scalar") == 0 || std::strcmp(env, "off") == 0 ||
-      std::strcmp(env, "0") == 0) {
-    return Kernel::kScalar;
-  }
-  if (std::strcmp(env, "sse2") == 0 || std::strcmp(env, "sse") == 0) {
-    return Kernel::kSse2;
-  }
-  return Kernel::kAvx2;
-}
-
 Dispatch ResolveDispatch() {
-  const Kernel cap = EnvKernelCap();
   for (const Kernel kernel : {Kernel::kAvx2, Kernel::kSse2}) {
-    if (kernel <= cap && ProbeSupported(kernel)) return MakeDispatch(kernel);
+    if (ProbeSupported(kernel)) return MakeDispatch(kernel);
   }
   return MakeDispatch(Kernel::kScalar);
 }
@@ -368,6 +259,27 @@ Dispatch ResolveDispatch() {
 Dispatch& ActiveDispatch() {
   static Dispatch dispatch = ResolveDispatch();
   return dispatch;
+}
+
+// The one entry behind Count and Positions: shorter run first (the
+// position arrays swap with it), the gallop on skewed pairs, else the
+// active dense kernel.
+template <bool kPositions>
+uint32_t Intersect(const uint32_t* a, uint32_t na, const uint32_t* b,
+                   uint32_t nb, uint32_t* ia, uint32_t* jb) {
+  if (na > nb) {
+    std::swap(a, b);
+    std::swap(na, nb);
+    std::swap(ia, jb);
+  }
+  if (na == 0) return 0;
+  if (static_cast<uint64_t>(nb) >=
+      static_cast<uint64_t>(na) * kGallopSkewRatio) {
+    return Gallop<kPositions>(a, na, b, nb, ia, jb);
+  }
+  const Dispatch& dispatch = ActiveDispatch();
+  return (kPositions ? dispatch.positions : dispatch.count)(a, na, b, nb, ia,
+                                                            jb);
 }
 
 }  // namespace
@@ -395,81 +307,33 @@ bool SetKernelForTesting(Kernel kernel) {
 
 uint32_t Count(const uint32_t* a, uint32_t na, const uint32_t* b,
                uint32_t nb) {
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  if (na == 0) return 0;
-  if (static_cast<uint64_t>(nb) >=
-      static_cast<uint64_t>(na) * kGallopSkewRatio) {
-    return CountGallop(a, na, b, nb);
-  }
-  return ActiveDispatch().count(a, na, b, nb);
-}
-
-uint32_t Into(const uint32_t* a, uint32_t na, const uint32_t* b,
-              uint32_t nb, uint32_t* out) {
-  if (na > nb) {
-    std::swap(a, b);
-    std::swap(na, nb);
-  }
-  if (na == 0) return 0;
-  if (static_cast<uint64_t>(nb) >=
-      static_cast<uint64_t>(na) * kGallopSkewRatio) {
-    return IntoGallop(a, na, b, nb, out);
-  }
-  return ActiveDispatch().into(a, na, b, nb, out);
+  return Intersect<false>(a, na, b, nb, nullptr, nullptr);
 }
 
 uint32_t Count3(const uint32_t* a, uint32_t na, const uint32_t* b,
                 uint32_t nb, const uint32_t* c, uint32_t nc) {
-  // Order the runs shortest-first; the pair intersection runs over the two
-  // shortest, and only its survivors probe the longest.
-  const uint32_t* run[3] = {a, b, c};
-  uint32_t len[3] = {na, nb, nc};
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int k = 0; k < 2; ++k) {
-      if (len[k] > len[k + 1]) {
-        std::swap(len[k], len[k + 1]);
-        std::swap(run[k], run[k + 1]);
-      }
-    }
-  }
-  if (len[0] == 0) return 0;
-
-  // Chunked pair intersection through the dispatched kernel: fixed stack
-  // scratch keeps the whole 3-way path allocation-free. After each chunk
-  // of the shortest run, the second run's cursor gallops past everything
-  // <= the chunk max (those elements can never match a later chunk), so
-  // the pair pass stays linear overall.
-  constexpr uint32_t kChunk = 256;
-  uint32_t buf[kChunk];
-  const uint32_t* s0 = run[0];
-  const uint32_t* s1 = run[1];
-  const uint32_t* e1 = run[1] + len[1];
-  const uint32_t* s2 = run[2];
-  const uint32_t* e2 = run[2] + len[2];
   uint32_t count = 0;
-  for (uint32_t off = 0; off < len[0]; off += kChunk) {
-    const uint32_t n0 = std::min(kChunk, len[0] - off);
-    const uint32_t chunk_max = s0[off + n0 - 1];
-    const uint32_t* hi1 = GallopSeek(s1, e1, chunk_max);
-    if (hi1 != e1 && *hi1 == chunk_max) ++hi1;
-    const uint32_t pair = Into(s0 + off, n0, s1,
-                               static_cast<uint32_t>(hi1 - s1), buf);
-    for (uint32_t k = 0; k < pair; ++k) {
-      s2 = GallopSeek(s2, e2, buf[k]);
-      if (s2 == e2) return count;
-      if (*s2 == buf[k]) {
-        ++count;
-        ++s2;
-      }
-    }
-    s1 = hi1;
-    if (s1 == e1) break;
-  }
+  detail::ForEachCommon3(a, na, b, nb, c, nc, [&count](uint32_t) { ++count; });
   return count;
 }
 
+namespace detail {
+
+uint32_t Positions(const uint32_t* a, uint32_t na, const uint32_t* b,
+                   uint32_t nb, uint32_t* ia, uint32_t* jb) {
+  return Intersect<true>(a, na, b, nb, ia, jb);
+}
+
+uint32_t CountMerge(const uint32_t* a, uint32_t na, const uint32_t* b,
+                    uint32_t nb) {
+  return Merge<false>(a, na, b, nb, nullptr, nullptr);
+}
+
+uint32_t CountGallop(const uint32_t* small, uint32_t ns,
+                     const uint32_t* large, uint32_t nl) {
+  return Gallop<false>(small, ns, large, nl, nullptr, nullptr);
+}
+
+}  // namespace detail
 }  // namespace intersect
 }  // namespace graphscape

@@ -28,9 +28,7 @@ namespace {
 
 // Support = triangles per edge. Each triangle is listed once, from its
 // degree-least vertex over the forward adjacency, and bumps the support
-// of its three edges, whose ids sit parallel to the forward runs. On
-// large sparse graphs nearly every run pair has no common element, so
-// the vectorized count rejects those before the positional merge runs.
+// of its three edges, whose ids sit parallel to the forward runs.
 // Pivots run on the pool; the relaxed increments commute, so the tally
 // is the same for every thread count. The forward arrays are freed on
 // return, before the peel allocates its own.
@@ -51,7 +49,6 @@ std::vector<uint32_t> CountSupport(const Graph& g, const EdgeIndex& index,
       const VertexId v = run[k];
       const VertexId* v_run = fwd.Run(v);
       const uint32_t v_len = fwd.RunLength(v);
-      if (intersect::Count(run, len, v_run, v_len) == 0) continue;
       const uint32_t* v_ids = fwd.EdgeIds(v);
       ForEachCommonPosition(run, len, v_run, v_len,
                             [&](uint32_t i, uint32_t j) {

@@ -27,20 +27,19 @@ inline uint64_t TrianglesFromPivot(const ForwardAdjacency& fwd, VertexId u) {
 }
 
 // Per-vertex tally from pivot u: each common neighbor w of (u, v ∈
-// fwd(u)) closes one triangle touching u, v, and w. Needs the elements,
-// so it goes through intersect::Into into the caller's reused scratch
-// run (sized fwd.max_out_degree — never reallocated in the loop).
+// fwd(u)) closes one triangle touching u, v, and w.
 inline void VertexTrianglesFromPivot(const ForwardAdjacency& fwd, VertexId u,
-                                     VertexId* scratch, uint32_t* counts) {
+                                     uint32_t* counts) {
   const VertexId* run = fwd.Run(u);
   const uint32_t len = fwd.RunLength(u);
   for (uint32_t k = 0; k < len; ++k) {
     const VertexId v = run[k];
-    const uint32_t hits =
-        intersect::Into(run, len, fwd.Run(v), fwd.RunLength(v), scratch);
-    counts[u] += hits;
-    counts[v] += hits;
-    for (uint32_t h = 0; h < hits; ++h) ++counts[scratch[h]];
+    ForEachCommonPosition(run, len, fwd.Run(v), fwd.RunLength(v),
+                          [&](uint32_t i, uint32_t) {
+                            ++counts[u];
+                            ++counts[v];
+                            ++counts[run[i]];
+                          });
   }
 }
 
@@ -70,22 +69,20 @@ std::vector<uint32_t> VertexTriangleCounts(const Graph& g,
       std::max(1u, EffectiveLanes({options.num_threads, 1}, num_blocks));
   const ForwardAdjacency fwd = BuildForward(g, options);
 
-  // Per-lane count arenas plus one Into() scratch run per lane, all
-  // allocated up front on the calling thread; a pivot's tallies go to
-  // its lane's arena, so lanes never share mutable state. Which arena a
-  // triangle lands in varies run to run (blocks are claimed
-  // dynamically), but the per-vertex SUM over arenas is an integer and
-  // therefore partition-invariant — exactly the one-lane counts.
+  // Per-lane count arenas, allocated up front on the calling thread; a
+  // pivot's tallies go to its lane's arena, so lanes never share mutable
+  // state. Which arena a triangle lands in varies run to run (blocks are
+  // claimed dynamically), but the per-vertex SUM over arenas is an
+  // integer and therefore partition-invariant — exactly the one-lane
+  // counts.
   std::vector<std::vector<uint32_t>> arenas(lanes);
   for (std::vector<uint32_t>& arena : arenas) arena.assign(n, 0);
-  std::vector<std::vector<VertexId>> scratch(lanes);
-  for (std::vector<VertexId>& s : scratch) s.assign(fwd.max_out_degree, 0);
   ParallelForBlocks(num_blocks, options, [&](uint64_t block, uint32_t lane) {
     const uint64_t lo = block * grain;
     const uint64_t hi = lo + grain < n ? lo + grain : n;
     for (uint64_t u = lo; u < hi; ++u) {
       VertexTrianglesFromPivot(fwd, static_cast<VertexId>(u),
-                               scratch[lane].data(), arenas[lane].data());
+                               arenas[lane].data());
     }
   });
 

@@ -184,12 +184,12 @@ TEST(AllocationDisciplineTest, MemberIndexBuildAllocatesConstantArrays) {
 
 TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
   // The intersection layer (graph/intersect_simd.h) is allocation-free by
-  // contract: zero heap allocations across Count/Count3/Into and
-  // ForEachCommonPosition, for every dispatchable kernel. Count3
-  // in particular must keep its pair-intersection scratch on the stack.
+  // contract: zero heap allocations across Count, Count3,
+  // ForEachCommonPosition and the 3-way ForEachCommonNeighbor, for every
+  // dispatchable kernel. The position paths in particular must keep
+  // their chunk buffers on the stack.
   Rng rng(42);
   const Graph g = BarabasiAlbert(1 << 10, 4, &rng);
-  std::vector<uint32_t> scratch(g.NumVertices());
   uint64_t sink = 0;
 
   for (const auto kernel :
@@ -201,15 +201,15 @@ TEST(AllocationDisciplineTest, IntersectKernelsNeverAllocate) {
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (VertexId u = 0; u < 64; ++u) {
       for (VertexId v = u + 1; v < 64; ++v) {
+        const VertexId w = (u + v) % g.NumVertices();
         sink += CountCommonNeighbors(g, u, v);
-        sink += CountCommonNeighbors(g, u, v, (u + v) % g.NumVertices());
+        sink += CountCommonNeighbors(g, u, v, w);
         const Graph::NeighborRange ru = g.Neighbors(u);
         const Graph::NeighborRange rv = g.Neighbors(v);
-        sink += intersect::Into(ru.begin(), ru.size(), rv.begin(), rv.size(),
-                                scratch.data());
         ForEachCommonPosition(
             ru.begin(), ru.size(), rv.begin(), rv.size(),
             [&](uint32_t i, uint32_t j) { sink += ru.begin()[i] + j; });
+        ForEachCommonNeighbor(g, u, v, w, [&](VertexId d) { sink += d; });
       }
     }
     const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -236,8 +236,7 @@ uint64_t AllocationsDuringTriangleCount(uint32_t n) {
 TEST(AllocationDisciplineTest, TriangleCountAllocationsConstantInGraphSize) {
   // CountTriangles/VertexTriangleCounts allocate a fixed set of arrays
   // up front (the forward adjacency's offsets + targets, the counts
-  // vector, one intersection scratch buffer) and nothing per vertex or
-  // per intersection inside the sweep.
+  // vector) and nothing per vertex or per intersection inside the sweep.
   const uint64_t small = AllocationsDuringTriangleCount(1 << 8);
   const uint64_t large = AllocationsDuringTriangleCount(1 << 14);
   EXPECT_EQ(small, large)

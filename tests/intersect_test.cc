@@ -5,7 +5,7 @@
 // (graph/intersect_simd.h + graph/intersect.h): every execution strategy
 // — scalar merge, galloping, SSE2, AVX2, and the public dispatched entry
 // points — must agree with a brute-force oracle and with each other, on
-// counts, on emitted elements, AND on emission order, across 10k seeded
+// counts, on reported positions, AND on their order, across 10k seeded
 // adversarial run pairs (empty, disjoint, identical, 1:4096 skew,
 // all-ties at block boundaries, lengths 0/1/non-multiple-of-lane-width).
 // The suite runs under ASan/UBSan and TSan via the regular CI matrix, and
@@ -76,12 +76,35 @@ std::vector<uint32_t> MakeRun(uint32_t len, uint32_t universe, Rng* rng) {
   return std::vector<uint32_t>(values.begin(), values.end());
 }
 
+// ForEachCommonPosition(a, b)'s matched elements, each match checked as
+// it arrives: positions in range, a[i] == b[j], and strictly ascending in
+// both runs.
+std::vector<uint32_t> PositionMatches(const std::vector<uint32_t>& a,
+                                      const std::vector<uint32_t>& b) {
+  std::vector<uint32_t> matched;
+  int64_t last_i = -1, last_j = -1;
+  ForEachCommonPosition(
+      a.data(), static_cast<uint32_t>(a.size()), b.data(),
+      static_cast<uint32_t>(b.size()), [&](uint32_t i, uint32_t j) {
+        if (i >= a.size() || j >= b.size()) {
+          ADD_FAILURE() << "position (" << i << ", " << j << ") out of range";
+          return;
+        }
+        EXPECT_EQ(a[i], b[j]);
+        EXPECT_GT(static_cast<int64_t>(i), last_i);
+        EXPECT_GT(static_cast<int64_t>(j), last_j);
+        last_i = i;
+        last_j = j;
+        matched.push_back(a[i]);
+      });
+  return matched;
+}
+
 void ExpectAllPathsAgree(const std::vector<uint32_t>& a,
                          const std::vector<uint32_t>& b) {
   const std::vector<uint32_t> oracle = OracleIntersect(a, b);
   const uint32_t na = static_cast<uint32_t>(a.size());
   const uint32_t nb = static_cast<uint32_t>(b.size());
-  std::vector<uint32_t> out(std::min(a.size(), b.size()) + 1, 0xdeadbeefu);
 
   // Non-dispatched reference paths, both orientations.
   EXPECT_EQ(oracle.size(), intersect::detail::CountMerge(a.data(), na,
@@ -92,27 +115,18 @@ void ExpectAllPathsAgree(const std::vector<uint32_t>& a,
                                                           b.data(), nb));
   EXPECT_EQ(oracle.size(), intersect::detail::CountGallop(b.data(), nb,
                                                           a.data(), na));
-  uint32_t got = intersect::detail::IntoMerge(a.data(), na, b.data(), nb,
-                                              out.data());
-  ASSERT_EQ(oracle.size(), got);
-  EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()));
-  got = intersect::detail::IntoGallop(a.data(), na, b.data(), nb,
-                                      out.data());
-  ASSERT_EQ(oracle.size(), got);
-  EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()));
 
-  // Dispatched entry points under every kernel this machine supports.
+  // Dispatched entry points under every kernel this machine supports,
+  // both argument orders: counts, and the position form's matches.
   for (const Kernel kernel : SupportedKernels()) {
     ScopedKernel scoped(kernel);
     EXPECT_EQ(oracle.size(), intersect::Count(a.data(), na, b.data(), nb))
         << "kernel " << intersect::KernelName(kernel);
     EXPECT_EQ(oracle.size(), intersect::Count(b.data(), nb, a.data(), na))
         << "kernel " << intersect::KernelName(kernel);
-    std::fill(out.begin(), out.end(), 0xdeadbeefu);
-    got = intersect::Into(a.data(), na, b.data(), nb, out.data());
-    ASSERT_EQ(oracle.size(), got)
+    EXPECT_EQ(oracle, PositionMatches(a, b))
         << "kernel " << intersect::KernelName(kernel);
-    EXPECT_TRUE(std::equal(oracle.begin(), oracle.end(), out.begin()))
+    EXPECT_EQ(oracle, PositionMatches(b, a))
         << "kernel " << intersect::KernelName(kernel);
   }
 }
@@ -248,6 +262,36 @@ TEST(IntersectDifferentialTest, ThreeWayCountCrossesChunkBoundaries) {
   }
 }
 
+TEST(IntersectDifferentialTest, PositionsCrossChunkBoundaries) {
+  // Shorter runs around and past kPositionChunk: ForEachCommonPosition
+  // cuts them into chunks and gallop-bounds the longer run per chunk, so
+  // matches at chunk seams must be neither dropped nor repeated, on
+  // balanced pairs (block kernels) and on 40:1 pairs (gallop per chunk).
+  Rng rng(20261019);
+  const uint32_t chunk = intersect::kPositionChunk;
+  for (const uint32_t short_len :
+       {chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 7, 1500u}) {
+    for (const uint32_t ratio : {1u, 3u, 40u}) {
+      for (const uint32_t factor : {1u, 2u, 8u}) {
+        const uint32_t long_len = short_len * ratio;
+        const uint32_t universe = long_len * factor;
+        const std::vector<uint32_t> a = MakeRun(short_len, universe, &rng);
+        const std::vector<uint32_t> b = MakeRun(long_len, universe, &rng);
+        ExpectAllPathsAgree(a, b);
+      }
+    }
+  }
+  // Every element a match, and matches exactly on the chunk seams.
+  std::vector<uint32_t> all(3 * chunk), seams;
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  for (uint32_t i = chunk - 1; i < all.size(); i += chunk) {
+    seams.push_back(i);
+    seams.push_back(i + 1);
+  }
+  ExpectAllPathsAgree(all, all);
+  ExpectAllPathsAgree(all, seams);
+}
+
 TEST(IntersectGraphApiTest, CallbackWrapperMatchesCountOnEveryPair) {
   Rng rng(7);
   const Graph g = BarabasiAlbert(1 << 9, 6, &rng);
@@ -283,27 +327,15 @@ TEST(IntersectGraphApiTest, PositionsMatchOracleOnSkewedRuns) {
     const std::vector<uint32_t> short_run = MakeRun(12, 5000, &rng);
     const std::vector<uint32_t> long_run = MakeRun(2000, 5000, &rng);
     const std::vector<uint32_t> oracle = OracleIntersect(short_run, long_run);
-    for (const bool swapped : {false, true}) {
-      const std::vector<uint32_t>& a = swapped ? long_run : short_run;
-      const std::vector<uint32_t>& b = swapped ? short_run : long_run;
-      std::vector<uint32_t> matched;
-      ForEachCommonPosition(a.data(), static_cast<uint32_t>(a.size()),
-                            b.data(), static_cast<uint32_t>(b.size()),
-                            [&](uint32_t i, uint32_t j) {
-                              ASSERT_LT(i, a.size());
-                              ASSERT_LT(j, b.size());
-                              EXPECT_EQ(a[i], b[j]);
-                              matched.push_back(a[i]);
-                            });
-      EXPECT_EQ(matched, oracle) << "swapped " << swapped;
-    }
+    EXPECT_EQ(PositionMatches(short_run, long_run), oracle);
+    EXPECT_EQ(PositionMatches(long_run, short_run), oracle);
   }
 }
 
 TEST(IntersectGraphApiTest, ThreeWayCallbackMatchesOracleAndCount) {
-  // Star-of-cliques: vertex 0 is a hub adjacent to everyone — the 3-way
-  // lagging-pointer restructure must handle the hub run staying at the
-  // frontier while leaf runs gallop.
+  // Star-of-cliques: vertex 0 is a hub adjacent to everyone, so its run
+  // is always the longest and becomes the gallop filter, under every
+  // kernel.
   GraphBuilder builder(64);
   for (VertexId v = 1; v < 64; ++v) builder.AddEdge(0, v);
   for (VertexId base = 1; base + 4 <= 64; base += 4) {
@@ -324,12 +356,16 @@ TEST(IntersectGraphApiTest, ThreeWayCallbackMatchesOracleAndCount) {
         std::vector<VertexId> nc(g.Neighbors(c).begin(),
                                  g.Neighbors(c).end());
         const std::vector<uint32_t> oracle = OracleIntersect3(na, nb, nc);
-        std::vector<VertexId> via_callback;
-        ForEachCommonNeighbor(g, a, b, c, [&](VertexId d) {
-          via_callback.push_back(d);
-        });
-        EXPECT_EQ(oracle, via_callback);
-        EXPECT_EQ(oracle.size(), CountCommonNeighbors(g, a, b, c));
+        for (const Kernel kernel : SupportedKernels()) {
+          ScopedKernel scoped(kernel);
+          std::vector<VertexId> via_callback;
+          ForEachCommonNeighbor(g, a, b, c, [&](VertexId d) {
+            via_callback.push_back(d);
+          });
+          EXPECT_EQ(oracle, via_callback) << intersect::KernelName(kernel);
+          EXPECT_EQ(oracle.size(), CountCommonNeighbors(g, a, b, c))
+              << intersect::KernelName(kernel);
+        }
       }
     }
   }
@@ -351,32 +387,44 @@ TEST(IntersectMetricsTest, MetricsAreKernelInvariant) {
 
   for (const Graph* g : {&ba, &collab}) {
     uint64_t triangles = 0;
-    std::vector<uint32_t> per_vertex, truss, nucleus;
-    double avg_cc = 0.0;
+    std::vector<uint32_t> per_vertex, truss, truss4, nucleus;
+    std::vector<double> local_cc;
+    double avg_cc = 0.0, sampled_cc = 0.0;
     bool first = true;
     for (const Kernel kernel : SupportedKernels()) {
       ScopedKernel scoped(kernel);
       const uint64_t t = CountTriangles(*g);
-      const std::vector<uint32_t> pv = VertexTriangleCounts(*g);
+      const std::vector<uint32_t> pv = VertexTriangleCounts(*g, {4, 0});
       const std::vector<uint32_t> tr = TrussNumbers(*g);
+      const std::vector<uint32_t> tr4 = TrussNumbers(*g, {4, 0});
       const std::vector<uint32_t> nu = NucleusEdgeNumbers(*g);
+      const std::vector<double> lcc = LocalClusteringCoefficients(*g);
       const double cc = AverageClusteringCoefficient(*g);
+      Rng sample_rng(17);
+      const double scc = SampledAverageClusteringCoefficient(*g, 200,
+                                                             &sample_rng);
       if (first) {
         triangles = t;
         per_vertex = pv;
         truss = tr;
+        truss4 = tr4;
         nucleus = nu;
+        local_cc = lcc;
         avg_cc = cc;
+        sampled_cc = scc;
         first = false;
         continue;
       }
       EXPECT_EQ(triangles, t) << intersect::KernelName(kernel);
       EXPECT_EQ(per_vertex, pv) << intersect::KernelName(kernel);
       EXPECT_EQ(truss, tr) << intersect::KernelName(kernel);
+      EXPECT_EQ(truss4, tr4) << intersect::KernelName(kernel);
       EXPECT_EQ(nucleus, nu) << intersect::KernelName(kernel);
       // Bit-identical, not merely close: the kernels change instruction
       // choice, never the arithmetic.
+      EXPECT_EQ(local_cc, lcc) << intersect::KernelName(kernel);
       EXPECT_EQ(avg_cc, cc) << intersect::KernelName(kernel);
+      EXPECT_EQ(sampled_cc, scc) << intersect::KernelName(kernel);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "common/rng.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/intersect_simd.h"
 #include "metrics/centrality.h"
 #include "metrics/kcore.h"
 #include "metrics/ktruss.h"
@@ -207,6 +209,163 @@ TEST(TrussNumbersTest, MatchesBruteForceOnSparseHubWithPlantedCliques) {
   EXPECT_GT(zero_support, g.NumEdges() * 9 / 10);
   EXPECT_EQ(*std::max_element(oracle.begin(), oracle.end()), 8u);
   ExpectTrussMatchesBruteForce(g);
+}
+
+// (3,4)-nucleus numbers straight from the definition: enumerate every
+// triangle and every 4-clique, then for k = 1, 2, ... drop each surviving
+// triangle whose 4-clique support, recounted from scratch over cliques
+// whose four triangles all survive, is below k, until none is; a
+// triangle's number is the largest k it survives (0 if none).
+NucleusDecomposition BruteForceNucleus(const Graph& g) {
+  NucleusDecomposition result;
+  std::map<std::array<VertexId, 3>, uint32_t> id_of;
+  const uint32_t n = g.NumVertices();
+  for (VertexId a = 0; a < n; ++a) {
+    for (VertexId b = a + 1; b < n; ++b) {
+      if (!g.HasEdge(a, b)) continue;
+      for (VertexId c = b + 1; c < n; ++c) {
+        if (!g.HasEdge(a, c) || !g.HasEdge(b, c)) continue;
+        id_of[{a, b, c}] = static_cast<uint32_t>(result.triangles.size());
+        result.triangles.push_back({a, b, c});
+      }
+    }
+  }
+  std::vector<std::array<uint32_t, 4>> cliques;
+  for (const auto& [a, b, c] : result.triangles) {
+    for (VertexId d = c + 1; d < n; ++d) {
+      if (!g.HasEdge(a, d) || !g.HasEdge(b, d) || !g.HasEdge(c, d)) continue;
+      cliques.push_back({id_of.at({a, b, c}), id_of.at({a, b, d}),
+                         id_of.at({a, c, d}), id_of.at({b, c, d})});
+    }
+  }
+  const uint32_t t = static_cast<uint32_t>(result.triangles.size());
+  std::vector<char> alive(t, 1);
+  result.nucleus_numbers.assign(t, 0);
+  for (uint32_t k = 1;; ++k) {
+    for (bool dropped = true; dropped;) {
+      dropped = false;
+      std::vector<uint32_t> support(t, 0);
+      for (const auto& clique : cliques) {
+        if (!alive[clique[0]] || !alive[clique[1]] || !alive[clique[2]] ||
+            !alive[clique[3]]) {
+          continue;
+        }
+        for (const uint32_t tri : clique) ++support[tri];
+      }
+      for (uint32_t i = 0; i < t; ++i) {
+        if (alive[i] && support[i] < k) {
+          alive[i] = 0;
+          dropped = true;
+        }
+      }
+    }
+    bool any = false;
+    for (uint32_t i = 0; i < t; ++i) {
+      if (alive[i]) {
+        result.nucleus_numbers[i] = k;
+        any = true;
+      }
+    }
+    if (!any) return result;
+  }
+}
+
+// Checks Nucleus34 and NucleusEdgeNumbers against the oracle under every
+// intersection kernel: the triangle enumeration, the 4-clique support
+// and the peel's 3-way callback all run on the dispatched kernel.
+void ExpectNucleusMatchesBruteForce(const Graph& g) {
+  const NucleusDecomposition oracle = BruteForceNucleus(g);
+  ASSERT_GT(*std::max_element(oracle.nucleus_numbers.begin(),
+                              oracle.nucleus_numbers.end()),
+            1u)
+      << "the graph needs nested 4-clique levels to test the peel";
+  const auto edges = EdgeList(g);
+  std::map<std::pair<VertexId, VertexId>, uint32_t> edge_oracle;
+  for (size_t i = 0; i < oracle.triangles.size(); ++i) {
+    const auto& [a, b, c] = oracle.triangles[i];
+    for (const auto& edge : {std::make_pair(a, b), std::make_pair(a, c),
+                             std::make_pair(b, c)}) {
+      uint32_t& value = edge_oracle[edge];
+      value = std::max(value, oracle.nucleus_numbers[i]);
+    }
+  }
+  std::vector<uint32_t> edge_values(edges.size(), 0);
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const auto it = edge_oracle.find(edges[e]);
+    if (it != edge_oracle.end()) edge_values[e] = it->second;
+  }
+  for (const intersect::Kernel kernel :
+       {intersect::Kernel::kScalar, intersect::Kernel::kSse2,
+        intersect::Kernel::kAvx2}) {
+    if (!intersect::KernelSupported(kernel)) continue;
+    const intersect::Kernel previous = intersect::ActiveKernel();
+    ASSERT_TRUE(intersect::SetKernelForTesting(kernel));
+    const NucleusDecomposition got = Nucleus34(g);
+    EXPECT_EQ(got.triangles, oracle.triangles)
+        << intersect::KernelName(kernel);
+    EXPECT_EQ(got.nucleus_numbers, oracle.nucleus_numbers)
+        << intersect::KernelName(kernel);
+    EXPECT_EQ(NucleusEdgeNumbers(g), edge_values)
+        << intersect::KernelName(kernel);
+    intersect::SetKernelForTesting(previous);
+  }
+}
+
+TEST(Nucleus34Test, MatchesBruteForceOnErdosRenyi) {
+  Rng rng(11);
+  ExpectNucleusMatchesBruteForce(ErdosRenyi(120, 0.25, &rng));
+}
+
+TEST(Nucleus34Test, MatchesBruteForceOnBarabasiAlbert) {
+  Rng rng(12);
+  ExpectNucleusMatchesBruteForce(BarabasiAlbert(200, 8, &rng));
+}
+
+TEST(Nucleus34Test, MatchesBruteForceOnCollaborationGraph) {
+  CollaborationOptions options;
+  options.num_vertices = 300;
+  options.num_planted_cores = 2;
+  options.planted_core_size = 9;
+  Rng rng(13);
+  ExpectNucleusMatchesBruteForce(CollaborationNetwork(options, &rng));
+}
+
+TEST(Nucleus34Test, MatchesBruteForceOnPlantedCliques) {
+  // A sparse random tree with overlapping planted cliques of sizes 5-10
+  // (K_s gives its triangles number s - 3) and a hub joined to every
+  // vertex of two of them: several nested nucleus levels, hub-vs-leaf
+  // skew in the 3-way intersections.
+  const uint32_t n = 400;
+  GraphBuilder builder(n);
+  Rng rng(14);
+  for (VertexId v = 2; v < n; ++v) {
+    builder.AddEdge(v, 1 + rng.UniformInt(v - 1));
+  }
+  for (VertexId v = 1; v < n; v += 3) builder.AddEdge(0, v);
+  std::vector<VertexId> previous;
+  for (const uint32_t size : {5u, 6u, 7u, 8u, 10u}) {
+    std::vector<VertexId> members;
+    // Share two vertices with the previous clique, so cliques overlap.
+    for (size_t i = 0; i < 2 && i < previous.size(); ++i) {
+      members.push_back(previous[i]);
+    }
+    while (members.size() < size) {
+      const VertexId v = 1 + rng.UniformInt(n - 1);
+      if (std::find(members.begin(), members.end(), v) == members.end()) {
+        members.push_back(v);
+      }
+    }
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = i + 1; j < members.size(); ++j) {
+        builder.AddEdge(members[i], members[j]);
+      }
+    }
+    if (size >= 8) {
+      for (const VertexId v : members) builder.AddEdge(0, v);
+    }
+    previous = members;
+  }
+  ExpectNucleusMatchesBruteForce(builder.Build());
 }
 
 TEST(PageRankTest, SumsToOneAndUniformOnCycle) {

@@ -32,18 +32,26 @@ enum class Base { kVertex, kEdge, kExplicitField };
 
 // kVertex and kEdge are full super trees with their own fields, so their
 // field column is derived; kExplicitField perturbs one edge value so the
-// column is stored explicitly. Together they cover both encodings.
+// column is stored explicitly. Together they cover both encodings. The
+// vertex base is a collaboration graph with a planted core, so its K-Core
+// numbers span several levels and its tree has parents and an order to
+// corrupt (every K-Core number of a BA graph is its attachment count).
 std::string BaseArtifactBytes(Base base) {
   const bool edge = base != Base::kVertex;
   Rng rng(edge ? 31 : 29);
-  const Graph g = BarabasiAlbert(120, 3, &rng);
   TreeArtifact artifact;
   if (edge) {
+    const Graph g = BarabasiAlbert(120, 3, &rng);
     const auto kt = EdgeScalarField::FromCounts("KT", TrussNumbers(g));
     artifact.tree = SuperTree(BuildEdgeScalarTree(g, kt));
     artifact.field_name = kt.Name();
     artifact.field_values = kt.Values();
   } else {
+    CollaborationOptions options;
+    options.num_vertices = 200;
+    options.num_planted_cores = 1;
+    options.planted_core_size = 8;
+    const Graph g = CollaborationNetwork(options, &rng);
     const auto kc = VertexScalarField::FromCounts("KC", CoreNumbers(g));
     artifact.tree = SuperTree(BuildVertexScalarTree(g, kc));
     artifact.field_name = kc.Name();
@@ -123,7 +131,12 @@ void FuzzArtifact(const std::string& base, uint64_t seed, int rounds) {
 }
 
 TEST(TreeIoFuzzTest, VertexArtifactSurvivesTenThousandMutations) {
-  FuzzArtifact(BaseArtifactBytes(Base::kVertex), 0xfeedface, 6000);
+  const std::string base = BaseArtifactBytes(Base::kVertex);
+  const StatusOr<TreeArtifact> parsed = DeserializeTreeArtifact(base);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_GT(parsed.value().tree.NumNodes(), 1u)
+      << "a one-node base never reaches the parent and order checks";
+  FuzzArtifact(base, 0xfeedface, 6000);
 }
 
 TEST(TreeIoFuzzTest, EdgeArtifactSurvivesTenThousandMutations) {
