@@ -89,7 +89,15 @@ struct ClosedNeighborhood {
   }
 };
 
-// Average-rank transform (ties share the mean of their rank run).
+}  // namespace
+
+double PearsonCorrelation(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  assert(a.size() == b.size());
+  return PearsonOver(Iota{static_cast<uint32_t>(a.size())},
+                     static_cast<uint32_t>(a.size()), a, b);
+}
+
 std::vector<double> AverageRanks(const std::vector<double>& values) {
   const uint32_t n = static_cast<uint32_t>(values.size());
   std::vector<uint32_t> order(n);
@@ -107,15 +115,6 @@ std::vector<double> AverageRanks(const std::vector<double>& values) {
     i = j + 1;
   }
   return ranks;
-}
-
-}  // namespace
-
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  return PearsonOver(Iota{static_cast<uint32_t>(a.size())},
-                     static_cast<uint32_t>(a.size()), a, b);
 }
 
 double SpearmanCorrelation(const std::vector<double>& a,
@@ -154,10 +153,37 @@ VertexScalarField OutlierScoreField(const Graph& g,
                            std::move(values));
 }
 
+std::vector<uint64_t> TopPeakMask(const SuperTree& tree, uint32_t k) {
+  std::vector<uint64_t> mask((static_cast<size_t>(tree.NumElements()) + 63) /
+                             64);
+  for (const Peak& peak : TopPeaks(tree, k)) {
+    for (const uint32_t e : tree.Members(peak.super_node)) {
+      mask[e >> 6] |= uint64_t{1} << (e & 63);
+    }
+  }
+  return mask;
+}
+
+double MaskJaccard(const std::vector<uint64_t>& a,
+                   const std::vector<uint64_t>& b) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument(
+        "MaskJaccard: masks have different word counts (" +
+        std::to_string(a.size()) + " vs " + std::to_string(b.size()) + ")");
+  }
+  uint64_t both = 0, either = 0;
+  for (size_t w = 0; w < a.size(); ++w) {
+    both += static_cast<uint64_t>(__builtin_popcountll(a[w] & b[w]));
+    either += static_cast<uint64_t>(__builtin_popcountll(a[w] | b[w]));
+  }
+  if (either == 0) return 1.0;
+  return static_cast<double>(both) / static_cast<double>(either);
+}
+
 double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k) {
   // Checked in every build type: the two trees come from independent
-  // builds, and mixing element spaces (|V| vs |E|) would index the
-  // masks out of bounds, not merely return a wrong number.
+  // builds, and two element spaces (|V| vs |E|) can round to the same
+  // mask width, so MaskJaccard's word check alone would not catch it.
   if (a.NumElements() != b.NumElements()) {
     throw std::invalid_argument(
         "TopPeakJaccard: trees contract different element spaces (" +
@@ -165,21 +191,7 @@ double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k) {
         std::to_string(b.NumElements()) +
         "); lift edge fields to vertices first");
   }
-  const uint32_t m = a.NumElements();
-  std::vector<char> in_a(m, 0), in_b(m, 0);
-  for (const Peak& peak : TopPeaks(a, k)) {
-    for (const uint32_t e : a.Members(peak.super_node)) in_a[e] = 1;
-  }
-  for (const Peak& peak : TopPeaks(b, k)) {
-    for (const uint32_t e : b.Members(peak.super_node)) in_b[e] = 1;
-  }
-  uint32_t both = 0, either = 0;
-  for (uint32_t e = 0; e < m; ++e) {
-    both += static_cast<uint32_t>(in_a[e] && in_b[e]);
-    either += static_cast<uint32_t>(in_a[e] || in_b[e]);
-  }
-  if (either == 0) return 1.0;
-  return static_cast<double>(both) / either;
+  return MaskJaccard(TopPeakMask(a, k), TopPeakMask(b, k));
 }
 
 VertexScalarField LiftEdgeFieldToVertices(const Graph& g,

@@ -40,7 +40,13 @@ namespace graphscape {
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);
 
-/// Spearman rank correlation (average ranks on ties), same conventions.
+/// Average-rank transform: element i gets its 0-based position in
+/// ascending value order, and a run of equal values shares the mean of
+/// its positions. One indirect sort, O(n log n).
+std::vector<double> AverageRanks(const std::vector<double>& values);
+
+/// Spearman rank correlation: PearsonCorrelation(AverageRanks(a),
+/// AverageRanks(b)), same conventions.
 double SpearmanCorrelation(const std::vector<double>& a,
                            const std::vector<double>& b);
 
@@ -60,13 +66,22 @@ VertexScalarField OutlierScoreField(const Graph& g,
                                     const VertexScalarField& a,
                                     const VertexScalarField& b);
 
-/// Jaccard overlap |A ∩ B| / |A ∪ B| of the element sets claimed by the
-/// two trees' TopPeaks(k) (scalar/tree_queries.h). Both trees must
+/// The element set claimed by TopPeaks(tree, k) (scalar/tree_queries.h)
+/// as a bitset: element e is bit e % 64 of word e / 64, and the mask has
+/// ceil(NumElements() / 64) words.
+std::vector<uint64_t> TopPeakMask(const SuperTree& tree, uint32_t k);
+
+/// Jaccard overlap |A ∩ B| / |A ∪ B| of two bitsets, by popcount over
+/// the words; 1.0 when the union is empty. Masks of different word
+/// counts throw std::invalid_argument.
+double MaskJaccard(const std::vector<uint64_t>& a,
+                   const std::vector<uint64_t>& b);
+
+/// MaskJaccard(TopPeakMask(a, k), TopPeakMask(b, k)). Both trees must
 /// contract the same element space (same NumElements()) — comparing a
 /// vertex tree against an edge tree requires LiftEdgeFieldToVertices
 /// first, and a mismatch throws std::invalid_argument in every build
-/// type (element ids would index the wrong space). 1.0 when both unions
-/// are empty.
+/// type (element ids would index the wrong space).
 double TopPeakJaccard(const SuperTree& a, const SuperTree& b, uint32_t k);
 
 /// Lifts an edge field to vertices by taking each vertex's maximum

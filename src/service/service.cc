@@ -3,6 +3,7 @@
 
 #include "service/service.h"
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,10 @@ std::string FormatPeaks(const std::vector<Peak>& peaks) {
   out += '\n';
   return out;
 }
+
+// k=10 matches the paper-table convention (REPRODUCTION.md): enough
+// peaks to cover the dominant structures, few enough to stay local.
+constexpr uint32_t kCorrelationTopPeaks = 10;
 
 }  // namespace
 
@@ -154,6 +159,19 @@ StatusOr<std::string> QueryService::HandleMembers(const Request& request) {
   return out;
 }
 
+const QueryService::CorrelationInputs& QueryService::CorrelationInputsOf(
+    const LoadedArtifact& loaded) {
+  std::call_once(loaded.correlation_once, [&] {
+    CorrelationInputs& inputs = loaded.correlation;
+    inputs.ranks = AverageRanks(loaded.artifact.field_values);
+    inputs.top10 = TopPeakMask(loaded.artifact.tree, kCorrelationTopPeaks);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.correlation_bytes += inputs.ranks.size() * sizeof(double) +
+                                inputs.top10.size() * sizeof(uint64_t);
+  });
+  return loaded.correlation;
+}
+
 StatusOr<std::string> QueryService::HandleCorrelation(
     const Request& request) {
   StatusOr<std::shared_ptr<const LoadedArtifact>> a =
@@ -172,13 +190,21 @@ StatusOr<std::string> QueryService::HandleCorrelation(
         static_cast<unsigned>(fa.field_values.size()),
         static_cast<unsigned>(fb.field_values.size())));
   }
-  // k=10 matches the paper-table convention (REPRODUCTION.md): enough
-  // peaks to cover the dominant structures, few enough to stay local.
-  const double jaccard = TopPeakJaccard(fa.tree, fb.tree, 10);
+  // Field-less artifacts have equal (empty) fields whatever their trees.
+  if (fa.tree.NumElements() != fb.tree.NumElements()) {
+    return Status::InvalidArgument(StrPrintf(
+        "CORRELATION trees span different element spaces (%u vs %u "
+        "elements)",
+        fa.tree.NumElements(), fb.tree.NumElements()));
+  }
+  // The same doubles SpearmanCorrelation and TopPeakJaccard compute, so
+  // the reply bytes match the uncached functions exactly.
+  const CorrelationInputs& ca = CorrelationInputsOf(*a.value());
+  const CorrelationInputs& cb = CorrelationInputsOf(*b.value());
   return StrPrintf("pearson %.17g\nspearman %.17g\ntop_peak_jaccard10 %.17g\n",
                    PearsonCorrelation(fa.field_values, fb.field_values),
-                   SpearmanCorrelation(fa.field_values, fb.field_values),
-                   jaccard);
+                   PearsonCorrelation(ca.ranks, cb.ranks),
+                   MaskJaccard(ca.top10, cb.top10));
 }
 
 StatusOr<std::string> QueryService::HandleTile(const Request& request) {
@@ -261,7 +287,8 @@ StatusOr<std::string> QueryService::HandleStats() {
       "tile_misses %llu\n"
       "tile_evictions %llu\n"
       "tile_bytes %llu\n"
-      "tile_count %llu\n",
+      "tile_count %llu\n"
+      "correlation_bytes %llu\n",
       kWireVersion, static_cast<unsigned long long>(snapshot.requests),
       static_cast<unsigned long long>(snapshot.ok),
       static_cast<unsigned long long>(snapshot.errors),
@@ -271,7 +298,8 @@ StatusOr<std::string> QueryService::HandleStats() {
       static_cast<unsigned long long>(tile.misses),
       static_cast<unsigned long long>(tile.evictions),
       static_cast<unsigned long long>(tile.current_bytes),
-      static_cast<unsigned long long>(tile.current_tiles));
+      static_cast<unsigned long long>(tile.current_tiles),
+      static_cast<unsigned long long>(snapshot.correlation_bytes));
   // One "key dataset/field" line per cache entry — the load generator
   // discovers the corpus from exactly these lines.
   for (const std::string& key : keys) out += "key " + key + "\n";

@@ -22,6 +22,10 @@
 //   * SuperTree::MemberIndex() is lazily built and unsynchronized, so it
 //     is primed under load_mu_ at load time; after that the artifact is
 //     immutable and shared across worker threads by shared_ptr.
+//   * An artifact's correlation inputs (ranks, top-peak mask) are built
+//     once, behind a per-artifact std::once_flag, by the first
+//     CORRELATION that names it — outside load_mu_, so the sort stalls
+//     only the requests that need its result.
 //   * The tile LRU is internally synchronized; renders run OUTSIDE all
 //     locks (they are the slow part — serializing them would make the
 //     thread pool pointless).
@@ -40,6 +44,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "scalar/artifact_cache.h"
@@ -56,6 +61,7 @@ struct ServiceStats {
   uint64_t errors = 0;           ///< requests answered with a non-OK frame
   uint64_t artifacts_loaded = 0; ///< lazy loads that succeeded
   uint64_t tiles_rendered = 0;   ///< TILE misses that rendered
+  uint64_t correlation_bytes = 0; ///< ranks + masks held by artifacts
 };
 
 class QueryService {
@@ -95,10 +101,19 @@ class QueryService {
   const Options& options() const { return options_; }
 
  private:
-  /// One resident artifact: the tree for queries, the bytes for TREE.
+  /// What CORRELATION needs of one artifact beyond its field values.
+  struct CorrelationInputs {
+    std::vector<double> ranks;   ///< AverageRanks(field_values)
+    std::vector<uint64_t> top10; ///< TopPeakMask(tree, 10)
+  };
+
+  /// One resident artifact: the tree for queries, the bytes for TREE,
+  /// and the correlation inputs once a CORRELATION has named it.
   struct LoadedArtifact {
     TreeArtifact artifact;
     std::string serialized;
+    mutable std::once_flag correlation_once;
+    mutable CorrelationInputs correlation;
   };
 
   QueryService(ArtifactCache cache, const Options& options)
@@ -111,6 +126,10 @@ class QueryService {
 
   StatusOr<std::shared_ptr<const LoadedArtifact>> GetArtifact(
       const std::string& dataset, const std::string& field);
+
+  /// The artifact's correlation inputs, built on the first call and
+  /// read-only after it (every reader passes the same once_flag).
+  const CorrelationInputs& CorrelationInputsOf(const LoadedArtifact& loaded);
 
   StatusOr<std::string> HandleTree(const Request& request);
   StatusOr<std::string> HandlePeaks(const Request& request);

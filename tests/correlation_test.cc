@@ -3,14 +3,18 @@
 //
 // Field-vs-field comparison: Pearson/Spearman against hand-computed
 // values (including tie handling), the LCI/GCI neighborhood conventions,
-// the outlier field's sign contract, top-peak Jaccard overlap, and the
-// edge-to-vertex lift that gives KC-vs-KT pairs a shared support.
+// the outlier field's sign contract, top-peak Jaccard overlap (against a
+// std::set oracle), and the edge-to-vertex lift that gives KC-vs-KT pairs
+// a shared support.
 
 #include "scalar/correlation.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +22,7 @@
 #include "graph/graph_builder.h"
 #include "metrics/kcore.h"
 #include "scalar/scalar_tree.h"
+#include "scalar/tree_queries.h"
 
 namespace graphscape {
 namespace {
@@ -157,6 +162,75 @@ TEST(CorrelationTest, TopPeakJaccardBoundsAndIdentity) {
   const SuperTree edge_tree(
       BuildEdgeScalarTree(g, EdgeScalarField("e", edge_values)));
   EXPECT_THROW(TopPeakJaccard(tree, edge_tree, 3), std::invalid_argument);
+}
+
+TEST(CorrelationTest, AverageRanksShareTheMeanOfATiedRun) {
+  EXPECT_EQ(AverageRanks({3.0, 1.0, 3.0, 2.0, 3.0}),
+            (std::vector<double>{3.0, 0.0, 3.0, 1.0, 3.0}));
+  EXPECT_EQ(AverageRanks({2.0, 2.0}), (std::vector<double>{0.5, 0.5}));
+  EXPECT_TRUE(AverageRanks({}).empty());
+}
+
+// The elements claimed by TopPeaks(tree, k), by brute force.
+std::set<uint32_t> TopPeakMembers(const SuperTree& tree, uint32_t k) {
+  std::set<uint32_t> members;
+  for (const Peak& peak : TopPeaks(tree, k)) {
+    for (const uint32_t e : tree.Members(peak.super_node)) members.insert(e);
+  }
+  return members;
+}
+
+TEST(CorrelationTest, TopPeakJaccardMatchesSetOracle) {
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng(seed);
+    const Graph g = BarabasiAlbert(200 + 37 * seed, 2, &rng);
+    std::vector<double> va(g.NumVertices()), vb(g.NumVertices());
+    for (auto& v : va) v = static_cast<double>(rng.UniformInt(12));
+    for (auto& v : vb) v = static_cast<double>(rng.UniformInt(6));
+    const SuperTree a(BuildVertexScalarTree(g, VertexScalarField("a", va)));
+    const SuperTree b(BuildVertexScalarTree(g, VertexScalarField("b", vb)));
+    const uint32_t most_peaks = static_cast<uint32_t>(std::max(
+        TopPeaks(a, UINT32_MAX).size(), TopPeaks(b, UINT32_MAX).size()));
+    // k = 0 leaves both unions empty; the last k exceeds every peak count.
+    for (const uint32_t k : {0u, 1u, 3u, 10u, most_peaks + 5}) {
+      const std::set<uint32_t> in_a = TopPeakMembers(a, k);
+      const std::set<uint32_t> in_b = TopPeakMembers(b, k);
+      std::set<uint32_t> either = in_a;
+      either.insert(in_b.begin(), in_b.end());
+      size_t both = 0;
+      for (const uint32_t e : in_a) both += in_b.count(e);
+      const double expected =
+          either.empty() ? 1.0
+                         : static_cast<double>(both) / either.size();
+      EXPECT_EQ(TopPeakJaccard(a, b, k), expected)
+          << "seed " << seed << " k " << k;
+
+      // The mask holds exactly the oracle's members, in whole words.
+      const std::vector<uint64_t> mask = TopPeakMask(a, k);
+      ASSERT_EQ(mask.size(), (g.NumVertices() + 63) / 64);
+      for (uint32_t e = 0; e < g.NumVertices(); ++e) {
+        EXPECT_EQ((mask[e / 64] >> (e % 64)) & 1, in_a.count(e))
+            << "seed " << seed << " k " << k << " element " << e;
+      }
+    }
+  }
+}
+
+TEST(CorrelationTest, MismatchedElementSpacesThrow) {
+  // 100 and 120 elements round to the same two mask words, so only the
+  // trees' element counts tell the spaces apart.
+  Rng rng(9);
+  const Graph small = BarabasiAlbert(100, 2, &rng);
+  const Graph large = BarabasiAlbert(120, 2, &rng);
+  const SuperTree a(BuildVertexScalarTree(
+      small, VertexScalarField("a", std::vector<double>(100, 1.0))));
+  const SuperTree b(BuildVertexScalarTree(
+      large, VertexScalarField("b", std::vector<double>(120, 1.0))));
+  ASSERT_EQ(TopPeakMask(a, 3).size(), TopPeakMask(b, 3).size());
+  EXPECT_THROW(TopPeakJaccard(a, b, 3), std::invalid_argument);
+  EXPECT_THROW(MaskJaccard(std::vector<uint64_t>(2), std::vector<uint64_t>(3)),
+               std::invalid_argument);
+  EXPECT_EQ(MaskJaccard({}, {}), 1.0);
 }
 
 TEST(CorrelationTest, LiftEdgeFieldTakesMaxIncidentValue) {

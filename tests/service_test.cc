@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -27,6 +28,7 @@
 #include "common/string_util.h"
 #include "gen/generators.h"
 #include "metrics/kcore.h"
+#include "scalar/correlation.h"
 #include "scalar/artifact_cache.h"
 #include "scalar/scalar_tree.h"
 #include "scalar/tree_io.h"
@@ -55,8 +57,10 @@ std::string FreshRoot(const std::string& name) {
   return root;
 }
 
-// One dataset ("ba-test") with a KC and a DEG field — two fields over
-// the same element space, so CORRELATION has a legal pair.
+// One dataset ("ba-test") with KC, DEG and MIX fields over the same
+// element space, so CORRELATION has legal pairs: KC is constant (a BA
+// graph is one solid core), DEG ties heavily, and MIX mixes distinct
+// values with a few tied runs.
 TreeArtifact BuildArtifact(const Graph& g, const VertexScalarField& field) {
   TreeArtifact artifact;
   artifact.tree = SuperTree(BuildVertexScalarTree(g, field));
@@ -76,11 +80,17 @@ class ServiceTest : public ::testing::Test {
     for (uint32_t v = 0; v < g.NumVertices(); ++v) degrees[v] = g.Degree(v);
     kc_ = BuildArtifact(g, VertexScalarField::FromCounts("KC", CoreNumbers(g)));
     deg_ = BuildArtifact(g, VertexScalarField::FromCounts("DEG", degrees));
+    std::vector<double> mix(g.NumVertices());
+    for (uint32_t v = 0; v < g.NumVertices(); ++v) {
+      mix[v] = v % 4 == 0 ? 0.5 * v : 1.0 + v % 5;
+    }
+    mix_ = BuildArtifact(g, VertexScalarField("MIX", mix));
 
     StatusOr<ArtifactCache> cache = ArtifactCache::Open(root_);
     ASSERT_TRUE(cache.ok()) << cache.status().ToString();
     ASSERT_TRUE(cache.value().Put(ArtifactKey{"ba-test", "KC"}, kc_).ok());
     ASSERT_TRUE(cache.value().Put(ArtifactKey{"ba-test", "DEG"}, deg_).ok());
+    ASSERT_TRUE(cache.value().Put(ArtifactKey{"ba-test", "MIX"}, mix_).ok());
 
     StatusOr<std::unique_ptr<QueryService>> opened = QueryService::Open(root_);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -95,9 +105,25 @@ class ServiceTest : public ::testing::Test {
     return frame.ok() ? std::move(frame).value() : ResponseFrame{};
   }
 
+  // The payload's "<name> <value>" line, or "" if absent.
+  static std::string StatsLine(const std::string& payload,
+                               const std::string& name) {
+    const size_t at = payload.find("\n" + name + " ");
+    if (at == std::string::npos) return "";
+    const size_t end = payload.find('\n', at + 1);
+    return payload.substr(at + 1, end - at - 1);
+  }
+
+  // CORRELATION's cache per artifact: 8 B of rank and one mask bit per
+  // element, the mask in whole 64-bit words.
+  static uint64_t CorrelationBytes(uint64_t n) {
+    return n * 8 + (n + 63) / 64 * 8;
+  }
+
   std::string root_;
   TreeArtifact kc_;
   TreeArtifact deg_;
+  TreeArtifact mix_;
   std::unique_ptr<QueryService> service_;
 };
 
@@ -168,12 +194,112 @@ TEST_F(ServiceTest, CorrelationOfAFieldWithItselfIsOne) {
   EXPECT_NE(frame.payload.find("top_peak_jaccard10 1\n"), std::string::npos);
 }
 
-TEST_F(ServiceTest, CorrelationAcrossFieldsProducesAllThreeRows) {
-  const ResponseFrame frame = Answer("CORRELATION ba-test KC DEG");
-  ASSERT_EQ(frame.wire_code, kWireOk);
-  for (const char* row : {"pearson ", "spearman ", "top_peak_jaccard10 "}) {
-    EXPECT_NE(frame.payload.find(row), std::string::npos) << row;
+TEST_F(ServiceTest, CorrelationIsByteIdenticalToUncachedFunctions) {
+  const std::pair<const char*, const TreeArtifact*> fields[] = {
+      {"KC", &kc_}, {"DEG", &deg_}, {"MIX", &mix_}};
+  for (const auto& [name_a, fa] : fields) {
+    for (const auto& [name_b, fb] : fields) {
+      const std::string expected = StrPrintf(
+          "pearson %.17g\nspearman %.17g\ntop_peak_jaccard10 %.17g\n",
+          PearsonCorrelation(fa->field_values, fb->field_values),
+          SpearmanCorrelation(fa->field_values, fb->field_values),
+          TopPeakJaccard(fa->tree, fb->tree, 10));
+      const std::string line =
+          StrPrintf("CORRELATION ba-test %s %s", name_a, name_b);
+      // Cold (this pair may build the cached inputs), then warm.
+      for (const char* pass : {"cold", "warm"}) {
+        const ResponseFrame frame = Answer(line);
+        ASSERT_EQ(frame.wire_code, kWireOk) << line << " " << pass;
+        EXPECT_EQ(frame.payload, expected) << line << " " << pass;
+      }
+    }
   }
+}
+
+TEST_F(ServiceTest, StatsCountsCorrelationBytesOncePerArtifact) {
+  EXPECT_EQ(StatsLine(Answer("STATS").payload, "correlation_bytes"),
+            "correlation_bytes 0");
+  // Loading an artifact for another verb builds nothing.
+  ASSERT_EQ(Answer("TOPPEAKS ba-test KC 3").wire_code, kWireOk);
+  EXPECT_EQ(service_->stats().correlation_bytes, 0u);
+
+  const uint64_t per = CorrelationBytes(kc_.field_values.size());
+  ASSERT_EQ(Answer("CORRELATION ba-test KC DEG").wire_code, kWireOk);
+  EXPECT_EQ(service_->stats().correlation_bytes, 2 * per);
+  ASSERT_EQ(Answer("CORRELATION ba-test DEG KC").wire_code, kWireOk);
+  ASSERT_EQ(Answer("CORRELATION ba-test DEG DEG").wire_code, kWireOk);
+  EXPECT_EQ(service_->stats().correlation_bytes, 2 * per);
+  ASSERT_EQ(Answer("CORRELATION ba-test MIX KC").wire_code, kWireOk);
+  EXPECT_EQ(service_->stats().correlation_bytes, 3 * per);
+  EXPECT_EQ(StatsLine(Answer("STATS").payload, "correlation_bytes"),
+            StrPrintf("correlation_bytes %llu",
+                      static_cast<unsigned long long>(3 * per)));
+}
+
+TEST_F(ServiceTest, FirstCorrelationFromManyThreadsBuildsInputsOnce) {
+  // A fresh service: nothing is loaded or ranked yet.
+  StatusOr<std::unique_ptr<QueryService>> opened = QueryService::Open(root_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  QueryService* service = opened.value().get();
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::string> replies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      replies[t] = service->HandleLine("CORRELATION ba-test KC MIX");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(replies[t], replies[0]);
+  StatusOr<ResponseFrame> frame = DecodeResponseFrame(replies[0]);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame.value().wire_code, kWireOk);
+  EXPECT_EQ(service->stats().correlation_bytes,
+            2 * CorrelationBytes(kc_.field_values.size()));
+  EXPECT_EQ(service->stats().artifacts_loaded, 2u);
+}
+
+TEST_F(ServiceTest, CorrelationOfFieldlessTreesOverDifferentSpaces) {
+  // Two field-less artifacts have equal (empty) fields, so only their
+  // trees show the element spaces differ.
+  Rng rng(11);
+  const Graph small = BarabasiAlbert(40, 3, &rng);
+  std::vector<uint32_t> degrees(small.NumVertices());
+  for (uint32_t v = 0; v < small.NumVertices(); ++v) {
+    degrees[v] = small.Degree(v);
+  }
+  TreeArtifact bare_small = BuildArtifact(
+      small, VertexScalarField::FromCounts("BARE40", degrees));
+  bare_small.field_values.clear();
+  TreeArtifact bare_kc = kc_;
+  bare_kc.field_values.clear();
+  {
+    StatusOr<ArtifactCache> cache = ArtifactCache::Open(root_);
+    ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+    ASSERT_TRUE(
+        cache.value().Put(ArtifactKey{"ba-test", "BARE40"}, bare_small).ok());
+    ASSERT_TRUE(
+        cache.value().Put(ArtifactKey{"ba-test", "BAREKC"}, bare_kc).ok());
+  }
+  StatusOr<std::unique_ptr<QueryService>> opened = QueryService::Open(root_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  service_ = std::move(opened).value();
+
+  const ResponseFrame mismatched = Answer("CORRELATION ba-test BARE40 BAREKC");
+  EXPECT_EQ(mismatched.wire_code, kWireInvalidArgument);
+  EXPECT_NE(mismatched.payload.find("different element spaces"),
+            std::string::npos)
+      << mismatched.payload;
+  // Same space, no fields: the value rows are the degenerate 0.
+  const ResponseFrame same = Answer("CORRELATION ba-test BAREKC BAREKC");
+  ASSERT_EQ(same.wire_code, kWireOk);
+  EXPECT_EQ(same.payload,
+            "pearson 0\nspearman 0\ntop_peak_jaccard10 1\n");
 }
 
 TEST_F(ServiceTest, MissingArtifactIsNotFound) {
@@ -233,6 +359,7 @@ TEST_F(ServiceTest, StatsReportsCountersAndCorpusKeys) {
   // The corpus-discovery lines the load generator depends on.
   EXPECT_NE(frame.payload.find("key ba-test/KC"), std::string::npos);
   EXPECT_NE(frame.payload.find("key ba-test/DEG"), std::string::npos);
+  EXPECT_NE(frame.payload.find("key ba-test/MIX"), std::string::npos);
 }
 
 // ------------------------------------------------- loopback transport --
